@@ -71,6 +71,18 @@ if __name__ == "__main__":
                 f"  compiled/numpy={extra['collision_kernel_speedup']:.2f}x"
                 f" (numba={'yes' if extra.get('compiled_available') else 'no'})"
             )
+        if "memory_ratio" in extra:
+            speed += (
+                f"  bitset/dense knowledge memory={extra['memory_ratio']:.1f}x"
+                f" ({extra['round_speedup']:.1f}x rounds/s)"
+            )
+        if "frontier_speedup" in extra:
+            speed += f"  sparse frontier={extra['frontier_speedup']:.2f}x"
+        if "cache_speedup" in extra:
+            speed += (
+                f"  warm/cold sweep={extra['cache_speedup']:.0f}x"
+                f" ({extra['warm_engine_shards_executed']} engine shards warm)"
+            )
         if "aggregation_throughput_ratio" in extra:
             speed += (
                 "  streaming/materialised="

@@ -368,8 +368,6 @@ class _ExecutionDefaults:
     kernel: str = "auto"
     store: Optional[ResultStore] = None
     environment: Optional[Dict[str, object]] = None
-    compaction: str = "auto"
-    watermark: float = 0.75
 
 
 _EXECUTION_DEFAULTS = _ExecutionDefaults()
@@ -386,8 +384,6 @@ def configure_execution(
     kernel: Optional[str] = None,
     store=_UNSET,
     environment=_UNSET,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
 ) -> None:
     """Set process-wide execution defaults (the CLI's ``--no-batch`` /
     ``--batch-mode`` / ``--state-backend`` / ``--kernel`` / cache flags land
@@ -409,11 +405,6 @@ def configure_execution(
     (the CLI's ``--env`` flag lands here): every job built without its own
     ``environment`` job option then runs under it.  Pass ``None`` to
     disable; omit the argument to leave the current default unchanged.
-
-    ``compaction`` / ``watermark`` steer the continuous-batching path (the
-    CLI's ``--compaction`` / ``--watermark`` flags land here): see
-    :class:`ExecutionPlan` for the ``"auto"`` / ``"on"`` / ``"off"``
-    semantics and the occupancy watermark.
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
@@ -423,16 +414,6 @@ def configure_execution(
         updates["batch_mode"] = batch_mode
     if state_backend is not None:
         updates["state_backend"] = state_backend
-    if compaction is not None:
-        if compaction not in ("auto", "on", "off"):
-            raise ValueError(
-                f"compaction must be 'auto', 'on' or 'off', got {compaction!r}"
-            )
-        updates["compaction"] = compaction
-    if watermark is not None:
-        if not 0.0 < watermark <= 1.0:
-            raise ValueError(f"watermark must be in (0, 1], got {watermark}")
-        updates["watermark"] = float(watermark)
     if kernel is not None:
         # Validate eagerly (mode-independent checks only) so a typo fails at
         # configuration time, not on the first sweep.
@@ -649,19 +630,16 @@ class ExecutionPlan:
     number of shards from the worker count — more shards mean finer resume
     checkpoints and better load balancing at a small per-shard overhead.
 
-    ``compaction`` selects the continuous-batching execution of the batched
-    in-process path (:meth:`~repro.radio.batch.BatchEngine.run_continuous`):
-    completed and dead trials retire the round they stop, the live batch is
-    compacted when occupancy drops below ``watermark * capacity``, and freed
-    rows refill with pending trials — so a sweep whose completion rounds
-    vary widely stops being billed for its slowest trial's horizon.
-    ``"auto"`` (the default) engages it for in-process exact-mode sweeps,
-    where every trial is bit-identical to the sharded path; ``"on"`` forces
-    it whenever it can run (fast mode then draws from a different — still
-    deterministic — stream than the sharded fast path, so force it only on
-    storeless throughput runs) and raises when it cannot; ``"off"`` keeps
-    the sharded path.  Compaction is an execution detail, not a result
-    axis: it never changes store digests.
+    A batched exact-mode sweep that runs in process (one worker, or an
+    in-process ``queue``) goes through one
+    :meth:`~repro.radio.batch.BatchEngine.run_continuous` loop: completed
+    and dead trials retire the round they stop, the live batch is compacted
+    and freed rows refill with later jobs — so a sweep whose completion
+    rounds vary widely stops being billed for its slowest trial's horizon.
+    Every trial is bit-identical to the sharded path, so this is an
+    execution detail, not a result axis: it never changes store digests.
+    Every other batched sweep runs as shards (fast-mode draws are
+    cohort-wide, so the shard layout must stay fixed for its cache keys).
 
     The jobs must be a homogeneous sweep: same specs and engine options,
     differing only in seed/label (what :func:`repeat_job` builds).
@@ -677,8 +655,6 @@ class ExecutionPlan:
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
     shard_count: Optional[int] = None
-    compaction: str = "auto"
-    watermark: float = 0.75
 
     def __post_init__(self) -> None:
         if not self.jobs:
@@ -690,15 +666,6 @@ class ExecutionPlan:
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
-            )
-        if self.compaction not in ("auto", "on", "off"):
-            raise ValueError(
-                f"compaction must be 'auto', 'on' or 'off', "
-                f"got {self.compaction!r}"
-            )
-        if not 0.0 < self.watermark <= 1.0:
-            raise ValueError(
-                f"watermark must be in (0, 1], got {self.watermark}"
             )
         if self.state_backend not in STATE_BACKENDS:
             known = ", ".join(STATE_BACKENDS)
@@ -811,34 +778,17 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Continuous batching
     # ------------------------------------------------------------------ #
-    def _continuous_blocker(self) -> Optional[str]:
-        """Why the continuous-batching path cannot run (``None`` when it
-        can).  Hard blockers only — the ``compaction`` policy (auto/on/off)
-        is applied by :meth:`_run` on top of this."""
-        if not self.batch:
-            return "the sweep is not batched (batch=False)"
-        reason = self.unbatchable_reason()
-        if reason is not None:
-            return reason
-        if self.jobs[0].record_rounds:
-            return (
-                "record_rounds needs a single per-round log; cohorts start "
-                "at different global rounds"
-            )
+    def _runs_in_process(self) -> bool:
+        """Whether the plan executes in the calling process — the condition
+        for the continuous path, whose refill loop feeds one live engine."""
         if self.queue is not None:
-            if not self.queue.in_process:
-                return (
-                    "continuous batching is in-process; the queue fans out "
-                    "to workers"
-                )
-        elif _worker_count(self.processes, len(self.jobs)) > 1:
-            return "continuous batching is in-process; processes>1 shards"
-        return None
+            return self.queue.in_process
+        return _worker_count(self.processes, len(self.jobs)) <= 1
 
     def _run_continuous(
         self, sink: Optional[_ResultSink], *, collect: bool = True
     ) -> List[RunResultTrace]:
-        """Execute the sweep through one engine's
+        """Execute an exact-mode sweep through one engine's
         :meth:`~repro.radio.batch.BatchEngine.run_continuous` loop.
 
         The pending stream pulls jobs lazily in job order — the in-process
@@ -850,11 +800,11 @@ class ExecutionPlan:
         """
         jobs = self.jobs
         template = jobs[0]
-        exact = self.batch_mode == "exact"
         shared_network = self.shared_topology()
         capacity = max(len(shard.jobs) for shard in self.shards())
         engine = BatchEngine(
             _batch_collision_model_for(template),
+            record_rounds=template.record_rounds,
             keep_arrays=template.keep_arrays,
             run_to_quiescence=template.run_to_quiescence,
             state_backend=self.state_backend,
@@ -873,9 +823,7 @@ class ExecutionPlan:
                     if shared_network is not None
                     else build_network(job.graph, rng=graph_rng)
                 )
-                yield PendingTrial(
-                    network, rng=protocol_rng if exact else None, tag=index
-                )
+                yield PendingTrial(network, rng=protocol_rng, tag=index)
 
         collected: Dict[int, RunResultTrace] = {}
 
@@ -898,13 +846,7 @@ class ExecutionPlan:
                 pending(),
                 lambda: build_batch_protocol(template.protocol),
                 capacity=capacity,
-                watermark=self.watermark,
                 max_rounds=template.max_rounds,
-                rng=(
-                    None
-                    if exact
-                    else np.random.default_rng(self._fast_seed_or_derived())
-                ),
                 result_sink=consume,
             )
 
@@ -1123,17 +1065,8 @@ class ExecutionPlan:
                     sink=sink,
                     collect=collect,
                 )
-            if self.compaction != "off":
-                blocker = self._continuous_blocker()
-                if blocker is None and (
-                    self.compaction == "on" or self.batch_mode == "exact"
-                ):
-                    return self._run_continuous(sink, collect=collect)
-                if self.compaction == "on":
-                    raise ValueError(
-                        f"compaction='on' but the sweep cannot run "
-                        f"continuously: {blocker}"
-                    )
+            if self.batch_mode == "exact" and self._runs_in_process():
+                return self._run_continuous(sink, collect=collect)
             shards = self.shards()
             queue = self.queue
             if queue is None:
@@ -1231,8 +1164,6 @@ def build_repetition_plan(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
     **job_options,
 ) -> ExecutionPlan:
     """The :class:`ExecutionPlan` behind :func:`repeat_job`, unexecuted.
@@ -1253,10 +1184,6 @@ def build_repetition_plan(
         state_backend = _EXECUTION_DEFAULTS.state_backend
     if kernel is None:
         kernel = _EXECUTION_DEFAULTS.kernel
-    if compaction is None:
-        compaction = _EXECUTION_DEFAULTS.compaction
-    if watermark is None:
-        watermark = _EXECUTION_DEFAULTS.watermark
     if "environment" not in job_options:
         if _EXECUTION_DEFAULTS.environment is not None:
             job_options["environment"] = _EXECUTION_DEFAULTS.environment
@@ -1285,8 +1212,6 @@ def build_repetition_plan(
         store=_resolve_store(store),
         queue=queue,
         shard_count=shards,
-        compaction=compaction,
-        watermark=watermark,
     )
 
 
@@ -1304,8 +1229,6 @@ def repeat_job(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
     **job_options,
 ) -> List[RunResultTrace]:
     """Run the same (graph, protocol) pair under ``repetitions`` different seeds.
@@ -1356,8 +1279,6 @@ def repeat_job(
         store=store,
         queue=queue,
         shards=shards,
-        compaction=compaction,
-        watermark=watermark,
         **job_options,
     )
     return plan.execute()

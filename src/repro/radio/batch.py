@@ -18,9 +18,11 @@ dimension instead:
   index pools (Decay/flooding at large ``n``) — selected automatically per
   workload or forced via ``state_backend=``; every backend is bit-identical
   to dense under the exact rng mode.
-* :class:`BatchEngine` owns the batched round loop, masking out trials that
-  have individually completed (or gone quiescent) so a finished trial costs
-  nothing while its siblings run on.
+* :class:`BatchEngine` owns the one batched round loop, masking out trials
+  that have individually completed (or gone quiescent) so a finished trial
+  costs nothing while its siblings run on.  :meth:`BatchEngine.run` runs a
+  fixed batch through it; :meth:`BatchEngine.run_continuous` streams trials
+  through it, retiring, compacting and refilling rows as trials stop.
 * When a protocol commits to a fixed future transmission schedule
   (:meth:`BatchProtocol.presampled_schedule` — Algorithm 1's fast-mode
   Phase 3 does), the engine resolves the scheduled rounds ahead of time in
@@ -1014,14 +1016,15 @@ class PendingTrial:
 
 
 class _Cohort:
-    """One admission wave inside a continuous run.
+    """One admission wave inside a run of the batch round loop.
 
     Protocols key *all* behaviour on a scalar round index (phase schedules,
     ``O(log n)`` horizons), so trials admitted at global round ``g`` must see
     local round ``0`` while older trials see ``g - start_round``.  Each wave
     therefore keeps its own protocol instance, stacked batch, RNG source,
-    accountant and environment; only collision resolution is unioned across
-    cohorts per global round.
+    accountant, environment and (under ``record_rounds``) per-trial round
+    logs; only collision resolution is unioned across cohorts per global
+    round.  :meth:`BatchEngine.run` is the one-cohort case.
     """
 
     __slots__ = (
@@ -1040,6 +1043,8 @@ class _Cohort:
         "running",
         "row_offset",
         "last_tx",
+        "tx_counts",
+        "round_records",
         "pending_retired",
     )
 
@@ -1108,6 +1113,10 @@ class BatchEngine:
     #: large enough to amortise the per-slice gather/sort.
     _SCHEDULE_SLICE_ROUNDS = 8
 
+    #: Refill trigger of :meth:`run_continuous`: pending trials are admitted
+    #: once fewer than this fraction of ``capacity`` rows are live.
+    _REFILL_WATERMARK = 0.75
+
     def __init__(
         self,
         collision_model: Union[BatchCollisionModel, CollisionModel, None] = None,
@@ -1159,6 +1168,10 @@ class BatchEngine:
     ) -> List[RunResultTrace]:
         """Run all trials to their individual completion; one trace per trial.
 
+        The batch runs as one cohort of the round loop behind
+        :meth:`run_continuous`, with ``capacity`` equal to the trial count
+        and nothing left to refill.
+
         Parameters
         ----------
         networks:
@@ -1183,285 +1196,58 @@ class BatchEngine:
             at once.
         """
         batch = self._coerce_batch(networks, trials)
-        if rngs is not None:
-            if len(rngs) != batch.trials:
-                raise ValueError(
-                    f"rngs must have one entry per trial "
-                    f"({batch.trials}), got {len(rngs)}"
-                )
-            rng_source = BatchRandomSource.exact(rngs)
-        else:
-            rng_source = BatchRandomSource.fast(rng)
-
-        environment = self.environment
-        env_active = environment is not None and not environment.is_null
-        if env_active:
-            environment.bind(batch, rng_source)
-
-        # Resolve the collision kernel for this run (rejects edge_sampled
-        # under exact mode) and install it on the model for the round loop.
-        collision_kernel = resolve_collision_kernel(
-            self.kernel, exact_mode=rng_source.exact_mode, record=True
-        )
-        self.collision_model.kernel = collision_kernel
-
-        kernel = resolve_kernel(
-            self.state_backend,
-            batch.trials,
-            batch.n,
-            profile=protocol.state_profile,
-            density=batch.edge_density,
-        )
-        protocol.bind(batch, rng_source, kernel)
-        if max_rounds is None:
-            max_rounds = protocol.suggested_max_rounds()
-        max_rounds = check_positive_int(max_rounds, "max_rounds")
-
-        trials_count, n = batch.trials, batch.n
-        accountant = BatchEnergyAccountant(trials_count, n)
-        completed = np.asarray(protocol.completed(), dtype=bool).copy()
-        completion_round = np.zeros(trials_count, dtype=np.int64)
-        rounds_executed = np.zeros(trials_count, dtype=np.int64)
-        # Serial rule: a trial that is already complete enters the loop only
-        # under run_to_quiescence (it may still be scheduled to transmit).
-        if self.run_to_quiescence:
-            running = np.ones(trials_count, dtype=bool)
-        else:
-            running = ~completed
-
-        # Trimmed outcomes (deliveries the protocol would ignore dropped in
-        # collision resolution) are observably equivalent only when nobody
-        # records per-round delivery counts and no per-trial stream has to
-        # match the serial engine call for call.
-        use_interest = (
-            not self.record_rounds and not rng_source.exact_mode and not env_active
-        )
-        # Mega-gather fast path: legal only when resolution is deterministic
-        # (pre-resolving would skip erasure draws), collision-free feedback is
-        # not part of the outcome (scheduled outcomes carry receivers only —
-        # no senders, no hear counts), and trimmed deliveries are observably
-        # equivalent (the resolver prunes against the protocol's interest set
-        # the same way per-round resolution would).
-        can_schedule = (
-            self.scheduled_resolution
-            and use_interest
-            and self.collision_model.resolves_deterministically
-            and not self.collision_model.detects_collisions
-            # The edge-sampled kernel draws fresh randomness per round, so
-            # pre-resolving scheduled rounds would skip its draws.
-            and collision_kernel != "edge_sampled"
-        )
-        plan: Optional[ScheduledTransmissions] = None
-        scheduled: Dict[int, np.ndarray] = {}
-        sched_next = 0  # schedule-relative index of the next unresolved slice
-
-        # Dead retirement is gated per protocol class: the base ``quiescent``
-        # just mirrors ``completed()``, so probing it every round would cost
-        # a vector op to learn nothing.  Only protocols with a real liveness
-        # override (transmission schedules that can run dry) participate.
-        retire_dead = (
-            self.retire_dead
-            and not self.run_to_quiescence
-            and type(protocol).quiescent is not BatchProtocol.quiescent
-        )
-        retired_dead = 0
-
-        # Telemetry is hoisted once per run: when disabled, the loop pays
-        # three `if tel:` branch checks per round and nothing else.
-        tel = telemetry.enabled()
-        if tel:
-            clock = time.perf_counter
-            run_start = clock()
-            phase_seconds = {"transmit": 0.0, "resolve": 0.0, "observe": 0.0}
-
-        round_log: List[dict] = []
-        for round_index in range(max_rounds):
-            if not running.any():
-                break
-            if tel:
-                t_mark = clock()
-            if can_schedule and plan is None:
-                plan = protocol.presampled_schedule(round_index)
-            tx_flat = np.asarray(
-                protocol.transmit_flat(round_index, running), dtype=np.int64
+        if rngs is None:
+            rngs = [None] * batch.trials
+        elif len(rngs) != batch.trials:
+            raise ValueError(
+                f"rngs must have one entry per trial "
+                f"({batch.trials}), got {len(rngs)}"
             )
-            if env_active:
-                environment.begin_round(round_index, running)
-                # Gated radios (crashed/asleep) are not energy-charged;
-                # in-flight loss below is charged-but-lost, and ``observe``
-                # still sees the pre-loss (gated) transmit set.
-                tx_flat = environment.gate_transmit_flat(
-                    round_index, tx_flat, running
-                )
-            transmitters = accountant.record_flat(tx_flat)
-            air_flat = tx_flat
-            if env_active:
-                air_flat = environment.perturb_transmissions(
-                    round_index, tx_flat, running
-                )
-            if tel:
-                now = clock()
-                phase_seconds["transmit"] += now - t_mark
-                t_mark = now
-            cached = None
-            if plan is not None:
-                j = round_index - plan.first_round
-                if 0 <= j < plan.num_rounds:
-                    if j >= sched_next:
-                        # Resolve the next slice of rounds in one mega-gather,
-                        # pruned against the interest set as of *now* — it
-                        # shrinks fast while the schedule plays out, so later
-                        # slices sort almost nothing.
-                        stop = min(
-                            j + self._SCHEDULE_SLICE_ROUNDS, plan.num_rounds
-                        )
-                        scheduled.update(
-                            resolve_scheduled_rounds(
-                                batch,
-                                plan.slice(sched_next, stop),
-                                listener_filter=protocol.listener_interest(),
-                            )
-                        )
-                        sched_next = stop
-                    cached = scheduled.pop(round_index)
-            if cached is not None:
-                # Trials are block-diagonal-independent, so dropping a
-                # stopped trial's receivers reproduces per-round resolution
-                # of the running-gated transmitters exactly.
-                receiver_flat = cached
-                if receiver_flat.size and not running.all():
-                    receiver_flat = receiver_flat[running[receiver_flat // n]]
-                outcome = _ScheduledOutcome(
-                    receiver_flat=receiver_flat,
-                    trials=trials_count,
-                    n=n,
-                )
-            else:
-                outcome = self.collision_model.resolve(
-                    batch,
-                    air_flat,
-                    rng_source,
-                    listener_filter=(
-                        protocol.listener_interest() if use_interest else None
-                    ),
-                )
-                if env_active:
-                    outcome = environment.filter_deliveries(
-                        round_index, outcome, running
-                    )
-            if tel:
-                now = clock()
-                phase_seconds["resolve"] += now - t_mark
-                t_mark = now
-
-            informed_before = (
-                protocol.informed_counts() if self.record_rounds else None
-            )
-            protocol.observe(round_index, tx_flat, outcome, running)
-            rounds_executed[running] = round_index + 1
-
-            if self.record_rounds:
-                round_log.append(
-                    {
-                        "running": running.copy(),
-                        "transmitters": transmitters,
-                        "deliveries": outcome.receiver_counts,
-                        "informed_before": informed_before,
-                        "informed_after": protocol.informed_counts(),
-                    }
-                )
-
-            completed_now = np.asarray(protocol.completed(), dtype=bool)
-            newly_completed = running & completed_now & ~completed
-            completion_round[newly_completed] = round_index + 1
-            completed |= newly_completed
-            if self.run_to_quiescence:
-                stop = running & np.asarray(
-                    protocol.quiescent(round_index + 1), dtype=bool
-                )
-            else:
-                stop = running & completed_now
-                if retire_dead:
-                    # Dead retirement: quiescent-but-incomplete trials can
-                    # never change outcome — cut them loose now instead of
-                    # spinning them to the round cap.
-                    dead = (
-                        running
-                        & ~stop
-                        & np.asarray(protocol.quiescent(round_index + 1), dtype=bool)
-                    )
-                    if dead.any():
-                        stop |= dead
-                        retired_dead += int(dead.sum())
-            if env_active and self.retire_dead:
-                doomed = environment.doomed_trials(round_index)
-                if doomed is not None:
-                    doomed = running & ~stop & np.asarray(doomed, dtype=bool)
-                    if doomed.any():
-                        stop |= doomed
-                        retired_dead += int(doomed.sum())
-            running = running & ~stop
-            if tel:
-                phase_seconds["observe"] += clock() - t_mark
-
-        if tel:
-            self._emit_run_telemetry(
-                batch,
-                protocol,
-                rounds_executed,
-                phase_seconds,
-                clock() - run_start,
-                collision_kernel=collision_kernel,
-                state_backend=kernel.backend,
-            )
-            if retired_dead:
-                telemetry.counter_inc("engine.retired_dead", retired_dead)
-        completion_round[~completed] = rounds_executed[~completed]
-        return self._assemble_results(
-            batch,
-            protocol,
-            accountant,
-            completed,
-            completion_round,
-            rounds_executed,
-            round_log,
-            environment=environment if env_active else None,
-            collision_kernel=collision_kernel,
+        pending = [
+            PendingTrial(net, rng=trial_rng, tag=t)
+            for t, (net, trial_rng) in enumerate(zip(batch.networks, rngs))
+        ]
+        return self._run_cohorts(
+            pending,
+            lambda: protocol,
+            capacity=batch.trials,
+            max_rounds=max_rounds,
+            rng=rng,
             result_sink=result_sink,
+            first_batch=batch,
         )
 
-    # ------------------------------------------------------------------ #
-    # Continuous batching
-    # ------------------------------------------------------------------ #
     def run_continuous(
         self,
         pending,
         protocol_factory,
         *,
         capacity: int,
-        watermark: float = 0.75,
         max_rounds: Optional[int] = None,
         rng: SeedLike = None,
         result_sink=None,
     ) -> List[RunResultTrace]:
         """Run a stream of trials at near-constant occupancy.
 
-        The plain :meth:`run` pays for every trial until the *slowest* trial
-        in its batch finishes: completed trials ride along as dead rows in
-        the stacked CSR.  This method instead retires each trial the round
-        it stops, **compacts** the live batch down to surviving rows when
-        occupancy drops below ``watermark * capacity`` (or a quarter of the
-        rows have died), and **refills** the freed rows from ``pending`` —
-        the continuous-batching schedule of inference serving, applied to
-        Monte-Carlo trials.
+        A static batch pays for every trial until the *slowest* one
+        finishes.  This method instead retires each trial the round it
+        stops and **refills** freed capacity from ``pending`` once fewer
+        than :attr:`_REFILL_WATERMARK` of ``capacity`` rows are live — the
+        continuous-batching schedule of inference serving, applied to
+        Monte-Carlo trials.  In exact mode it also **compacts** the live
+        batch down to its surviving rows before a refill, or once a quarter
+        of the rows have stopped (three quarters while the queue is dry).
+        Fast-mode rows are never repacked: shared-generator draws depend on
+        the row count, so repacking would change them.
 
         Trials admitted at global round ``g`` see their protocol's round
         ``0`` at ``g``: each admission wave runs as its own *cohort* with a
         private protocol/batch/RNG/environment, and only collision
         resolution is unioned across cohorts (one gather per global round).
         In exact mode (every :class:`PendingTrial` carries an ``rng``) each
-        trial's results are bit-identical to :meth:`run` and to the serial
-        engine — per-trial streams are position-independent by construction.
+        trial's results, including its ``record_rounds`` log, are
+        bit-identical to :meth:`run` and to the serial engine — per-trial
+        streams are position-independent by construction.
 
         Parameters
         ----------
@@ -1472,8 +1258,6 @@ class BatchEngine:
             Zero-argument callable producing a fresh protocol per cohort.
         capacity:
             Target row count (the analogue of ``trials`` in :meth:`run`).
-        watermark:
-            Refill trigger, as a fraction of ``capacity`` (in ``(0, 1]``).
         rng:
             Fast-mode shared seed/generator (ignored in exact mode).
         result_sink:
@@ -1481,22 +1265,32 @@ class BatchEngine:
             the trial's :attr:`PendingTrial.tag` (admission index when
             unset).  With a sink the method returns an empty list.
         """
-        if self.record_rounds:
-            raise ValueError(
-                "record_rounds is incompatible with run_continuous: cohorts "
-                "start at different global rounds, so there is no single "
-                "per-round log; use run() for instrumented runs"
-            )
-        capacity = check_positive_int(capacity, "capacity")
-        if not 0.0 < watermark <= 1.0:
-            raise ValueError(f"watermark must be in (0, 1], got {watermark}")
-
-        env_spec = (
-            self.environment.spec()
-            if self.environment is not None and not self.environment.is_null
-            else None
+        return self._run_cohorts(
+            pending,
+            protocol_factory,
+            capacity=check_positive_int(capacity, "capacity"),
+            max_rounds=max_rounds,
+            rng=rng,
+            result_sink=result_sink,
         )
 
+    def _run_cohorts(
+        self,
+        pending,
+        protocol_factory,
+        *,
+        capacity: int,
+        max_rounds: Optional[int],
+        rng: SeedLike,
+        result_sink,
+        first_batch: Optional[NetworkBatch] = None,
+    ) -> List[RunResultTrace]:
+        """The round loop behind :meth:`run` and :meth:`run_continuous`.
+
+        ``first_batch`` is the already-stacked batch of the first admission
+        wave (:meth:`run` builds it from its arguments), so its CSR is not
+        stacked a second time.
+        """
         queue: List[PendingTrial] = []
         source = iter(pending)
         exhausted = False
@@ -1539,10 +1333,35 @@ class BatchEngine:
         )
         self.collision_model.kernel = collision_kernel
         shared_rng = None if exact_mode else BatchRandomSource.fast(rng)
-        # Same legality rule as run(): trimmed outcomes only when no
-        # per-trial stream must match serial draws and no environment can
+        env_active = self.environment is not None and not self.environment.is_null
+        record = self.record_rounds
+        # Trimmed outcomes (deliveries the protocol would ignore dropped in
+        # collision resolution) are observably equivalent only when nobody
+        # records per-round delivery counts, no per-trial stream has to
+        # match the serial engine call for call, and no environment can
         # resurrect interest in a delivery the protocol would ignore.
-        use_interest = not exact_mode and env_spec is None
+        use_interest = not record and not exact_mode and not env_active
+        # Mega-gather fast path: legal only when resolution is deterministic
+        # (pre-resolving would skip erasure draws), collision feedback is
+        # not part of the outcome (scheduled outcomes carry receivers only —
+        # no senders, no hear counts), and trimmed deliveries are observably
+        # equivalent (the resolver prunes against the protocol's interest set
+        # the same way per-round resolution would).  The edge-sampled kernel
+        # draws fresh randomness per round, so it cannot be pre-resolved.
+        can_schedule = (
+            self.scheduled_resolution
+            and use_interest
+            and self.collision_model.resolves_deterministically
+            and not self.collision_model.detects_collisions
+            and collision_kernel != "edge_sampled"
+        )
+        # A committed schedule is only taken by a cohort that will stay
+        # alone for the rest of the run (``solo``): its rows then never move
+        # (fast mode does not repack) and no union gather has to include it.
+        solo = False
+        plan: Optional[ScheduledTransmissions] = None
+        scheduled: Dict[int, np.ndarray] = {}
+        sched_next = 0  # schedule-relative index of the next unresolved slice
 
         cohorts: List[_Cohort] = []
         union_batch: Optional[NetworkBatch] = None
@@ -1557,16 +1376,20 @@ class BatchEngine:
             "refills": 0,
             "trial_rounds": 0,
         }
+        first_protocol: Optional[BatchProtocol] = None
+        state_backend = self.state_backend
         retire = False  # set from the first cohort's protocol class
         needs_senders = False
 
+        # Telemetry is hoisted once per run: when disabled, the loop pays a
+        # few `if tel:` branch checks per round and nothing else.
         tel = telemetry.enabled()
         if tel:
             clock = time.perf_counter
             run_start = clock()
-            # Same per-phase aggregation as run(): summed seconds across all
-            # rounds, so a traced continuous sweep folds into the identical
-            # round-phase span layer the sharded engine produces.
+            # Round phases are pre-aggregated (summed seconds across all
+            # rounds) rather than one span per round — at thousands of
+            # rounds per run, per-round records would dwarf the simulation.
             phase_seconds = {"transmit": 0.0, "resolve": 0.0, "observe": 0.0}
 
         def _note_retired(c: _Cohort, idx: np.ndarray, dead: int = 0) -> None:
@@ -1583,13 +1406,12 @@ class BatchEngine:
         def _flush_retired(c: _Cohort) -> None:
             if not c.pending_retired:
                 return
-            idx = np.asarray(c.pending_retired, dtype=np.int64)
+            idx = np.sort(np.asarray(c.pending_retired, dtype=np.int64))
             c.pending_retired = []
             _materialize_trials(c, idx)
 
         def _materialize_trials(c: _Cohort, idx: np.ndarray) -> None:
             informed = c.protocol.informed_counts()
-            per_node = self.keep_arrays
             informed_rounds = (
                 c.protocol.informed_round
                 if self.keep_arrays
@@ -1612,16 +1434,18 @@ class BatchEngine:
                     informed_count=(
                         int(informed[t]) if informed is not None else None
                     ),
-                    rounds=[],
+                    rounds=c.round_records[t] if record else [],
                     metadata=dict(c.protocol.trial_metadata(t)),
                 )
-                if per_node:
+                if self.keep_arrays:
                     result.per_node_transmissions = c.accountant.per_node(t)
                 if informed_rounds is not None:
                     result.informed_round = informed_rounds[t].copy()
                 if c.environment is not None:
                     result.metadata["environment"] = c.environment.trial_report(t)
                 if collision_kernel == "edge_sampled":
+                    # Approximate results must be distinguishable from exact
+                    # ones wherever the trace ends up (stores, aggregations).
                     result.metadata["collision_kernel"] = "edge_sampled"
                 if result_sink is not None:
                     result_sink(c.tags[t], result)
@@ -1629,13 +1453,35 @@ class BatchEngine:
                     results[c.orders[t]] = result
                 stats["trial_rounds"] += int(c.rounds_executed[t])
 
+        def _log_round(
+            c: _Cohort, outcome: BatchCollisionOutcome, before, after
+        ) -> None:
+            deliveries = outcome.receiver_counts
+            for t in np.flatnonzero(c.running):
+                log = c.round_records[t]
+                delivered = int(deliveries[t])
+                log.append(
+                    RoundRecord(
+                        round_index=len(log),
+                        transmitters=int(c.tx_counts[t]),
+                        deliveries=delivered,
+                        newly_informed=(
+                            int(after[t] - before[t])
+                            if after is not None
+                            else delivered
+                        ),
+                        informed_after=int(after[t]) if after is not None else -1,
+                    )
+                )
+
         def _admit(items: List[PendingTrial], start_round: int) -> _Cohort:
-            nonlocal admitted, retire, needs_senders
+            nonlocal admitted, retire, needs_senders, first_batch
+            nonlocal first_protocol, state_backend
             for it in items:
                 if (it.rng is not None) != exact_mode:
                     raise ValueError(
-                        "run_continuous cannot mix exact-mode trials "
-                        "(rng set) with fast-mode trials (rng None)"
+                        "cannot mix exact-mode trials (rng set) with "
+                        "fast-mode trials (rng None) in one run"
                     )
                 if it.network.n != n:
                     raise ValueError(
@@ -1643,7 +1489,10 @@ class BatchEngine:
                         f"got {it.network.n} and {n}"
                     )
             protocol = protocol_factory()
-            batch = NetworkBatch([it.network for it in items])
+            if first_batch is not None:
+                batch, first_batch = first_batch, None
+            else:
+                batch = NetworkBatch([it.network for it in items])
             if exact_mode:
                 rng_source = BatchRandomSource.exact([it.rng for it in items])
             else:
@@ -1657,9 +1506,18 @@ class BatchEngine:
             )
             protocol.bind(batch, rng_source, kernel)
             environment = None
-            if env_spec is not None:
-                environment = build_batch_environment(env_spec)
+            if env_active:
+                # The first wave runs on the engine's own environment; later
+                # waves get fresh instances of the same spec.
+                environment = (
+                    self.environment
+                    if first_protocol is None
+                    else build_batch_environment(self.environment.spec())
+                )
                 environment.bind(batch, rng_source)
+            if first_protocol is None:
+                first_protocol = protocol
+                state_backend = kernel.backend
             c = _Cohort()
             c.protocol = protocol
             c.batch = batch
@@ -1667,10 +1525,11 @@ class BatchEngine:
             c.accountant = BatchEnergyAccountant(batch.trials, batch.n)
             c.environment = environment
             c.start_round = start_round
-            c.horizon = (
+            c.horizon = check_positive_int(
                 max_rounds
                 if max_rounds is not None
-                else protocol.suggested_max_rounds()
+                else protocol.suggested_max_rounds(),
+                "max_rounds",
             )
             c.tags = [
                 it.tag if it.tag is not None else admitted + i
@@ -1681,13 +1540,25 @@ class BatchEngine:
             c.completed = np.asarray(protocol.completed(), dtype=bool).copy()
             c.completion_round = np.zeros(batch.trials, dtype=np.int64)
             c.rounds_executed = np.zeros(batch.trials, dtype=np.int64)
+            # Serial rule: a trial that is already complete enters the loop
+            # only under run_to_quiescence (it may still be scheduled to
+            # transmit).
             if self.run_to_quiescence:
                 c.running = np.ones(batch.trials, dtype=bool)
             else:
                 c.running = ~c.completed
             c.row_offset = 0
             c.last_tx = None
+            c.tx_counts = None
+            c.round_records = (
+                [[] for _ in range(batch.trials)] if record else None
+            )
             c.pending_retired = []
+            # Dead retirement is gated per protocol class: the base
+            # ``quiescent`` just mirrors ``completed()``, so probing it every
+            # round would cost a vector op to learn nothing.  Only protocols
+            # with a real liveness override (transmission schedules that can
+            # run dry) participate.
             retire = (
                 self.retire_dead
                 and not self.run_to_quiescence
@@ -1722,6 +1593,10 @@ class BatchEngine:
             c.running = c.running[keep]
             c.tags = [tag for tag, k in zip(c.tags, keep) if k]
             c.orders = [o for o, k in zip(c.orders, keep) if k]
+            if record:
+                c.round_records = [
+                    log for log, k in zip(c.round_records, keep) if k
+                ]
 
         def _rebuild_union() -> None:
             nonlocal union_batch, union_rng
@@ -1749,6 +1624,14 @@ class BatchEngine:
                 else:
                     union_rng = shared_rng
 
+        def _union_interest() -> Optional[np.ndarray]:
+            if len(cohorts) == 1:
+                return cohorts[0].protocol.listener_interest()
+            interests = [c.protocol.listener_interest() for c in cohorts]
+            if any(i is None for i in interests):
+                return None
+            return interests[0] if len(interests) == 1 else np.concatenate(interests)
+
         global_round = 0
         live = 0
         # Occupancy only moves when a trial retires or a refill lands, so
@@ -1770,6 +1653,10 @@ class BatchEngine:
                     union_stale = True
                 live = sum(int(c.running.sum()) for c in cohorts)
                 rows = sum(c.batch.trials for c in cohorts)
+                refill_possible = _has_more()
+                refill_needed = (
+                    live < self._REFILL_WATERMARK * capacity and refill_possible
+                )
                 # Anti-thrash: row-level compaction rebuilds CSR + state
                 # backends, so it must either make room for a refill or
                 # reclaim rows that will actually repay the rebuild.  While
@@ -1781,14 +1668,12 @@ class BatchEngine:
                 # dead rows dominate (three quarters, and at least half the
                 # configured capacity): one late compaction that collapses
                 # a long straggler tail in a single step.
-                refill_possible = _has_more()
-                refill_needed = live < watermark * capacity and refill_possible
                 if refill_possible:
                     dead_floor = max(1, rows // 4)
                 else:
                     dead_floor = max(1, (3 * rows) // 4, capacity // 2)
                 compact_worth = rows > 0 and (rows - live) >= dead_floor
-                if refill_needed or compact_worth:
+                if exact_mode and (refill_needed or compact_worth):
                     for c in cohorts:
                         if not c.running.all():
                             _compact_cohort(c)
@@ -1805,25 +1690,25 @@ class BatchEngine:
                                 live=live,
                             )
                             telemetry.counter_inc("engine.compactions")
-                    if refill_needed:
-                        items = _pull(capacity - live)
-                        if items:
-                            c = _admit(items, global_round)
-                            live += int(c.running.sum())
-                            union_stale = True
-                            occupancy_dirty = True
-                            stats["refills"] += 1
-                            if tel:
-                                telemetry.event(
-                                    "engine.refill",
-                                    round=global_round,
-                                    added=len(items),
-                                    occupancy=live / capacity,
-                                )
-                                telemetry.counter_inc("engine.refills")
+                if refill_needed:
+                    items = _pull(capacity - live)
+                    if items:
+                        c = _admit(items, global_round)
+                        live += int(c.running.sum())
+                        union_stale = True
+                        occupancy_dirty = True
+                        stats["refills"] += 1
+                        if tel:
+                            telemetry.event(
+                                "engine.refill",
+                                round=global_round,
+                                added=len(items),
+                                occupancy=live / capacity,
+                            )
+                            telemetry.counter_inc("engine.refills")
             if not cohorts:
                 if _has_more():
-                    # Capacity is free but the watermark test above already
+                    # Capacity is free but the refill test above already
                     # admitted what it could; loop to admit the rest.
                     occupancy_dirty = True
                     continue
@@ -1831,6 +1716,7 @@ class BatchEngine:
             if union_stale:
                 _rebuild_union()
                 union_stale = False
+                solo = len(cohorts) == 1 and not _has_more()
                 if tel:
                     telemetry.gauge_set("engine.occupancy", live / capacity)
             elif tel and global_round % 64 == 0:
@@ -1838,6 +1724,10 @@ class BatchEngine:
 
             if tel:
                 t_mark = clock()
+            if can_schedule and plan is None and solo:
+                plan = cohorts[0].protocol.presampled_schedule(
+                    global_round - cohorts[0].start_round
+                )
             air_parts: List[np.ndarray] = []
             for c in cohorts:
                 local = global_round - c.start_round
@@ -1846,8 +1736,12 @@ class BatchEngine:
                 )
                 if c.environment is not None:
                     c.environment.begin_round(local, c.running)
+                    # Gated radios (crashed/asleep) are not energy-charged;
+                    # in-flight loss below is charged-but-lost, and
+                    # ``observe`` still sees the pre-loss (gated) transmit
+                    # set.
                     tx = c.environment.gate_transmit_flat(local, tx, c.running)
-                c.accountant.record_flat(tx)
+                c.tx_counts = c.accountant.record_flat(tx)
                 air = tx
                 if c.environment is not None:
                     air = c.environment.perturb_transmissions(
@@ -1863,24 +1757,51 @@ class BatchEngine:
                 else np.concatenate(air_parts)
             )
 
-            listener_filter = None
-            if use_interest:
-                interests = [c.protocol.listener_interest() for c in cohorts]
-                if all(i is not None for i in interests):
-                    listener_filter = (
-                        interests[0]
-                        if len(interests) == 1
-                        else np.concatenate(interests)
-                    )
-
             if tel:
                 now = clock()
                 phase_seconds["transmit"] += now - t_mark
                 t_mark = now
-            outcome = self.collision_model.resolve(
-                union_batch, air_union, union_rng, listener_filter=listener_filter
-            )
-            with_senders = env_spec is not None or needs_senders
+            outcome = None
+            if plan is not None:
+                local = global_round - cohorts[0].start_round
+                j = local - plan.first_round
+                if 0 <= j < plan.num_rounds:
+                    if j >= sched_next:
+                        # Resolve the next slice of rounds in one mega-gather,
+                        # pruned against the interest set as of *now* — it
+                        # shrinks fast while the schedule plays out, so later
+                        # slices sort almost nothing.
+                        stop = min(
+                            j + self._SCHEDULE_SLICE_ROUNDS, plan.num_rounds
+                        )
+                        scheduled.update(
+                            resolve_scheduled_rounds(
+                                union_batch,
+                                plan.slice(sched_next, stop),
+                                listener_filter=_union_interest(),
+                            )
+                        )
+                        sched_next = stop
+                    # Trials are block-diagonal-independent, so dropping a
+                    # stopped trial's receivers reproduces per-round
+                    # resolution of the running-gated transmitters exactly.
+                    receivers = scheduled.pop(local)
+                    running = cohorts[0].running
+                    if receivers.size and not running.all():
+                        receivers = receivers[running[receivers // n]]
+                    outcome = _ScheduledOutcome(
+                        receiver_flat=receivers,
+                        trials=union_batch.trials,
+                        n=n,
+                    )
+            if outcome is None:
+                outcome = self.collision_model.resolve(
+                    union_batch,
+                    air_union,
+                    union_rng,
+                    listener_filter=_union_interest() if use_interest else None,
+                )
+            with_senders = env_active or needs_senders
             if tel:
                 now = clock()
                 phase_seconds["resolve"] += now - t_mark
@@ -1901,8 +1822,11 @@ class BatchEngine:
                     out_c = c.environment.filter_deliveries(
                         local, out_c, c.running
                     )
+                before = c.protocol.informed_counts() if record else None
                 c.protocol.observe(local, c.last_tx, out_c, c.running)
                 c.rounds_executed[c.running] = local + 1
+                if record:
+                    _log_round(c, out_c, before, c.protocol.informed_counts())
 
                 completed_now = np.asarray(c.protocol.completed(), dtype=bool)
                 newly = c.running & completed_now & ~c.completed
@@ -1915,6 +1839,9 @@ class BatchEngine:
                 else:
                     stop = c.running & completed_now
                     if retire:
+                        # Dead retirement: quiescent-but-incomplete trials
+                        # can never change outcome — cut them loose now
+                        # instead of spinning them to the round cap.
                         stop |= (
                             c.running
                             & ~stop
@@ -1950,28 +1877,33 @@ class BatchEngine:
                 telemetry.aggregate_span(
                     "round-phase", phase, seconds, rounds=global_round
                 )
+            trials_count = stats["retired"]
+            trial_rounds = stats["trial_rounds"]
             telemetry.event(
-                "engine.continuous",
-                trials=stats["retired"],
+                "engine.run",
+                protocol=first_protocol.name,
+                trials=trials_count,
                 n=n,
                 capacity=capacity,
-                watermark=watermark,
                 kernel=collision_kernel,
+                state_backend=state_backend,
                 rounds=global_round,
-                trial_rounds=stats["trial_rounds"],
+                trial_rounds=trial_rounds,
                 compactions=stats["compactions"],
                 refills=stats["refills"],
                 retired_dead=stats["retired_dead"],
                 seconds=total_seconds,
                 trials_per_second=(
-                    stats["retired"] / total_seconds
-                    if total_seconds > 0
-                    else None
+                    trials_count / total_seconds if total_seconds > 0 else None
+                ),
+                rounds_per_second=(
+                    trial_rounds / total_seconds if total_seconds > 0 else None
                 ),
             )
             telemetry.counter_inc("engine.runs")
-            telemetry.counter_inc("engine.trials", stats["retired"])
-            telemetry.counter_inc("engine.trial_rounds", stats["trial_rounds"])
+            telemetry.counter_inc("engine.trials", trials_count)
+            telemetry.counter_inc("engine.trial_rounds", trial_rounds)
+            telemetry.histogram_observe("engine.run_seconds", total_seconds)
             if stats["retired_dead"]:
                 telemetry.counter_inc(
                     "engine.retired_dead", stats["retired_dead"]
@@ -1994,128 +1926,6 @@ class BatchEngine:
                 )
             return NetworkBatch.shared(networks, trials)
         return NetworkBatch(networks)
-
-    @staticmethod
-    def _emit_run_telemetry(
-        batch: NetworkBatch,
-        protocol: BatchProtocol,
-        rounds_executed: np.ndarray,
-        phase_seconds: Dict[str, float],
-        total_seconds: float,
-        *,
-        collision_kernel: str,
-        state_backend: str,
-    ) -> None:
-        """One ``engine.run`` event + per-phase aggregate spans per run.
-
-        Round phases are pre-aggregated (summed seconds across all rounds)
-        rather than one span per round — at thousands of rounds per run,
-        per-round records would dwarf the simulation itself.
-        """
-        trials_count = int(batch.trials)
-        max_rounds_run = int(rounds_executed.max()) if trials_count else 0
-        trial_rounds = int(rounds_executed.sum())
-        for phase, seconds in phase_seconds.items():
-            telemetry.aggregate_span(
-                "round-phase", phase, seconds, rounds=max_rounds_run
-            )
-        telemetry.event(
-            "engine.run",
-            protocol=protocol.name,
-            trials=trials_count,
-            n=int(batch.n),
-            kernel=collision_kernel,
-            state_backend=state_backend,
-            rounds=max_rounds_run,
-            trial_rounds=trial_rounds,
-            seconds=total_seconds,
-            trials_per_second=(
-                trials_count / total_seconds if total_seconds > 0 else None
-            ),
-            rounds_per_second=(
-                trial_rounds / total_seconds if total_seconds > 0 else None
-            ),
-        )
-        telemetry.counter_inc("engine.runs")
-        telemetry.counter_inc("engine.trials", trials_count)
-        telemetry.counter_inc("engine.trial_rounds", trial_rounds)
-        telemetry.histogram_observe("engine.run_seconds", total_seconds)
-
-    def _assemble_results(
-        self,
-        batch: NetworkBatch,
-        protocol: BatchProtocol,
-        accountant: BatchEnergyAccountant,
-        completed: np.ndarray,
-        completion_round: np.ndarray,
-        rounds_executed: np.ndarray,
-        round_log: List[dict],
-        environment=None,
-        collision_kernel: str = "numpy",
-        result_sink=None,
-    ) -> List[RunResultTrace]:
-        reports = accountant.reports()
-        informed = protocol.informed_counts()
-        per_node = accountant.per_node() if self.keep_arrays else None
-        informed_rounds = (
-            protocol.informed_round
-            if self.keep_arrays and isinstance(protocol, BatchBroadcastProtocol)
-            else None
-        )
-        results: List[RunResultTrace] = []
-        for t in range(batch.trials):
-            rounds: List[RoundRecord] = []
-            for entry in round_log:
-                if not entry["running"][t]:
-                    continue
-                before = entry["informed_before"]
-                after = entry["informed_after"]
-                deliveries = int(entry["deliveries"][t])
-                # Trials run contiguously from round 0 until they stop, so the
-                # per-trial record index equals the engine's round index.
-                rounds.append(
-                    RoundRecord(
-                        round_index=len(rounds),
-                        transmitters=int(entry["transmitters"][t]),
-                        deliveries=deliveries,
-                        newly_informed=(
-                            int(after[t] - before[t])
-                            if after is not None and before is not None
-                            else deliveries
-                        ),
-                        informed_after=int(after[t]) if after is not None else -1,
-                    )
-                )
-            result = RunResultTrace(
-                protocol_name=protocol.name,
-                network_name=batch.networks[t].name,
-                n=batch.n,
-                completed=bool(completed[t]),
-                completion_round=int(completion_round[t]),
-                rounds_executed=int(rounds_executed[t]),
-                energy=reports[t],
-                informed_count=(
-                    int(informed[t]) if informed is not None else None
-                ),
-                rounds=rounds,
-                metadata=dict(protocol.trial_metadata(t)),
-            )
-            if per_node is not None:
-                result.per_node_transmissions = per_node[t]
-            if informed_rounds is not None:
-                result.informed_round = informed_rounds[t].copy()
-            if environment is not None:
-                result.metadata["environment"] = environment.trial_report(t)
-            if collision_kernel == "edge_sampled":
-                # Approximate results must be distinguishable from exact
-                # ones wherever the trace ends up (stores, aggregations).
-                result.metadata["collision_kernel"] = "edge_sampled"
-            if result_sink is not None:
-                result_sink(t, result)
-            else:
-                results.append(result)
-        return results
-
 
 def run_protocol_batch(
     networks: Union[NetworkBatch, RadioNetwork, Sequence[RadioNetwork]],

@@ -277,8 +277,6 @@ def _run_cell_impl(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> CellResult:
     metric_names = tuple(cell.metrics if cell.metrics is not None else metrics)
@@ -316,8 +314,6 @@ def _run_cell_impl(
         kernel=kernel,
         store=store,
         shards=shards,
-        compaction=compaction,
-        watermark=watermark,
         **cell.job_options,
     )
     context = plan.cache_context()
@@ -503,8 +499,6 @@ def run_grid(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
     telemetry_label: Optional[str] = None,
 ) -> List[CellResult]:
@@ -529,8 +523,6 @@ def run_grid(
                 state_backend=state_backend,
                 kernel=kernel,
                 shards=shards,
-                compaction=compaction,
-                watermark=watermark,
                 sketch_capacity=sketch_capacity,
             )
             for cell in cells
@@ -604,8 +596,6 @@ def run_scenario(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> List[CellResult]:
     """Execute a scenario: its grid, under its seed and metric set.
@@ -626,8 +616,6 @@ def run_scenario(
         state_backend=state_backend,
         kernel=kernel,
         shards=shards,
-        compaction=compaction,
-        watermark=watermark,
         sketch_capacity=sketch_capacity,
         telemetry_label=spec.scenario_id,
     )

@@ -25,11 +25,12 @@ machine, or fed to ``repro sweep --grid``.  Execution lives in
 from __future__ import annotations
 
 import hashlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.builders import GraphSpec
-from repro.experiments.protocols import ProtocolSpec
+from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec
 from repro.store.keys import canonical_dumps
 
 __all__ = ["SweepCell", "SweepGrid", "ScenarioSpec"]
@@ -101,11 +102,31 @@ class SweepCell:
                 raise ValueError(
                     f"unknown job options {sorted(unknown)}; known: {known}"
                 )
+            self._check_protocol_params()
         else:
             if not self.probe:
                 raise ValueError("a probe cell needs a registered probe name")
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
+
+    def _check_protocol_params(self) -> None:
+        """Fail at spec time, not after earlier cells have run, when the
+        protocol parameters do not fit the protocol's factory signature."""
+        name = self.protocol.name
+        factory = PROTOCOL_FACTORIES.get(name)
+        if factory is None:
+            known = ", ".join(sorted(PROTOCOL_FACTORIES))
+            raise ValueError(
+                f"cell {self.label()}: unknown protocol {name!r}; "
+                f"known protocols: {known}"
+            )
+        try:
+            inspect.signature(factory).bind(**self.protocol.params)
+        except TypeError as exc:
+            raise ValueError(
+                f"cell {self.label()}: bad parameters for protocol "
+                f"{name!r}: {exc}"
+            ) from None
 
     def label(self) -> str:
         """Readable one-line cell description (coords, else specs)."""

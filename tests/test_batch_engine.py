@@ -42,7 +42,12 @@ from repro.graphs.random_digraph import (
     connectivity_threshold_probability,
     random_digraph,
 )
-from repro.radio.batch import BatchEngine, NetworkBatch, run_protocol_batch
+from repro.radio.batch import (
+    BatchEngine,
+    NetworkBatch,
+    PendingTrial,
+    run_protocol_batch,
+)
 from repro.radio.collision import (
     BatchStandardCollisionModel,
     ErasureCollisionModel,
@@ -175,6 +180,46 @@ class TestExactEquivalence:
         )
         for s, b in zip(serial, batched):
             assert [r.as_dict() for r in s.rounds] == [r.as_dict() for r in b.rounds]
+
+    @pytest.mark.parametrize("protocol_name", ["algorithm1", "decay"])
+    def test_record_rounds_through_refills(self, gnp_batch, protocol_name):
+        """Round logs survive admission waves and compaction unchanged."""
+        networks, p = gnp_batch
+        serial_factory = PROTOCOL_FACTORIES[protocol_name]
+        batch_factory = BATCH_PROTOCOL_FACTORIES[protocol_name]
+        params = {"p": p} if protocol_name == "algorithm1" else {}
+        seeds = list(range(80, 86))
+        serial = _serial_runs(
+            networks[:6],
+            lambda: serial_factory(**params),
+            seeds,
+            record_rounds=True,
+        )
+        static = BatchEngine(record_rounds=True).run(
+            networks[:6],
+            batch_factory(**params),
+            rngs=[np.random.default_rng(s) for s in seeds],
+        )
+        cohorts = []
+
+        def make_protocol():
+            cohorts.append(batch_factory(**params))
+            return cohorts[-1]
+
+        continuous = BatchEngine(record_rounds=True).run_continuous(
+            [
+                PendingTrial(net, rng=np.random.default_rng(s))
+                for net, s in zip(networks[:6], seeds)
+            ],
+            make_protocol,
+            capacity=2,
+        )
+        assert len(cohorts) > 1
+        assert all(t.rounds for t in continuous)
+        for s, b, c in zip(serial, static, continuous):
+            expected = [r.as_dict() for r in s.rounds]
+            assert [r.as_dict() for r in b.rounds] == expected
+            assert [r.as_dict() for r in c.rounds] == expected
 
     def test_repeat_job_exact_mode_matches_serial(self):
         graph = GraphSpec("gnp", {"n": 128, "p": 0.08})
@@ -580,3 +625,100 @@ class TestScheduledResolution:
         assert part.num_rounds == 2
         assert list(part.tx_flat) == [9]
         assert list(part.offsets) == [0, 0, 1]
+
+
+# --------------------------------------------------------------------------- #
+# Fast-mode stream pin
+# --------------------------------------------------------------------------- #
+_PIN_PARAMS = {
+    "algorithm1": {"p": 0.15},
+    "algorithm2": {"p": 0.15},
+    "algorithm3": {"diameter": 3},
+    "tradeoff": {"diameter": 3, "lam": 3.0},
+    "time_invariant": {"distribution": 0.1},
+    "decay": {},
+    "elsasser_gasieniec": {"p": 0.15},
+    "czumaj_rytter_known_d": {"diameter": 3},
+    "uniform_selection": {"diameter": 3},
+    "deterministic_flood": {},
+    "bernoulli_flood": {"q": 0.1},
+    "uniform_gossip": {},
+    "sequential_gossip": {},
+}
+
+_PIN_LOSS = {"name": "iid_loss", "params": {"tx_loss": 0.1, "rx_loss": 0.15}}
+
+#: Per-trial ``(completed, completion_round, rounds_executed,
+#: total_transmissions, informed_count)`` of a fast-mode run: five G(48, 0.15)
+#: samples, shared generator seeded 31, ``max_rounds=400``.  Fast-mode draws
+#: depend on how many rows a batch holds, so any change to row handling in
+#: the round loop shows up here; a deliberate stream change must re-record
+#: these values together with an ``ENGINE_VERSION`` bump.
+_FAST_PIN = {
+    ('algorithm1', None): [(False, 13, 13, 11, 32), (False, 15, 15, 26, 46), (False, 26, 26, 21, 47), (False, 17, 17, 21, 44), (False, 19, 19, 24, 45)],
+    ('algorithm1', 'iid_loss'): [(False, 1, 1, 1, 1), (False, 1, 1, 1, 1), (False, 19, 19, 16, 35), (False, 35, 35, 17, 42), (False, 14, 14, 19, 42)],
+    ('algorithm2', None): [(True, 69, 69, 470, 48), (True, 59, 59, 379, 48), (True, 72, 72, 470, 48), (True, 63, 63, 402, 48), (True, 68, 68, 444, 48)],
+    ('algorithm2', 'iid_loss'): [(True, 52, 52, 356, 48), (True, 64, 64, 393, 48), (True, 89, 89, 610, 48), (True, 65, 65, 412, 48), (True, 57, 57, 390, 48)],
+    ('algorithm3', None): [(True, 37, 37, 239, 48), (True, 11, 11, 74, 48), (True, 28, 28, 114, 48), (True, 29, 29, 78, 48), (True, 25, 25, 68, 48)],
+    ('algorithm3', 'iid_loss'): [(True, 27, 27, 137, 48), (True, 19, 19, 107, 48), (True, 39, 39, 246, 48), (True, 38, 38, 184, 48), (True, 33, 33, 81, 48)],
+    ('bernoulli_flood', None): [(True, 21, 21, 47, 48), (True, 30, 30, 52, 48), (True, 9, 9, 26, 48), (True, 22, 22, 55, 48), (True, 28, 28, 92, 48)],
+    ('bernoulli_flood', 'iid_loss'): [(True, 32, 32, 33, 48), (True, 28, 28, 54, 48), (True, 14, 14, 50, 48), (True, 85, 85, 324, 48), (True, 34, 34, 84, 48)],
+    ('czumaj_rytter_known_d', None): [(True, 22, 22, 196, 48), (True, 12, 12, 92, 48), (True, 25, 25, 64, 48), (True, 38, 38, 195, 48), (True, 28, 28, 69, 48)],
+    ('czumaj_rytter_known_d', 'iid_loss'): [(True, 31, 31, 125, 48), (True, 29, 29, 210, 48), (True, 29, 29, 148, 48), (True, 42, 42, 209, 48), (True, 19, 19, 71, 48)],
+    ('decay', None): [(True, 63, 63, 258, 48), (True, 52, 52, 279, 48), (True, 41, 41, 159, 48), (True, 54, 54, 241, 48), (True, 38, 38, 152, 48)],
+    ('decay', 'iid_loss'): [(True, 88, 88, 401, 48), (True, 99, 99, 488, 48), (True, 51, 51, 243, 48), (True, 76, 76, 327, 48), (True, 49, 49, 198, 48)],
+    ('deterministic_flood', None): [(False, 198, 198, 2880, 45), (False, 197, 197, 2880, 45), (True, 134, 134, 2882, 48), (False, 197, 197, 2880, 45), (False, 200, 200, 3008, 47)],
+    ('deterministic_flood', 'iid_loss'): [(True, 100, 100, 2523, 48), (False, 181, 181, 3008, 47), (False, 164, 164, 2944, 46), (False, 203, 203, 3008, 47), (True, 88, 88, 2155, 48)],
+    ('elsasser_gasieniec', None): [(False, 47, 47, 66, 35), (False, 47, 47, 166, 47), (False, 47, 47, 132, 46), (False, 47, 47, 87, 38), (False, 47, 47, 153, 47)],
+    ('elsasser_gasieniec', 'iid_loss'): [(False, 47, 47, 13, 9), (False, 47, 47, 5, 9), (False, 47, 47, 118, 45), (False, 47, 47, 44, 28), (False, 47, 47, 103, 46)],
+    ('sequential_gossip', None): [(True, 108, 108, 753, 48), (True, 108, 108, 850, 48), (True, 102, 102, 605, 48), (True, 128, 128, 844, 48), (True, 120, 120, 758, 48)],
+    ('sequential_gossip', 'iid_loss'): [(True, 138, 138, 715, 48), (True, 115, 115, 955, 48), (True, 110, 110, 768, 48), (True, 163, 163, 1072, 48), (True, 96, 96, 457, 48)],
+    ('time_invariant', None): [(True, 21, 21, 47, 48), (True, 30, 30, 52, 48), (True, 9, 9, 26, 48), (True, 22, 22, 55, 48), (True, 28, 28, 92, 48)],
+    ('time_invariant', 'iid_loss'): [(True, 32, 32, 33, 48), (True, 28, 28, 54, 48), (True, 14, 14, 50, 48), (True, 85, 85, 324, 48), (True, 34, 34, 84, 48)],
+    ('tradeoff', None): [(True, 37, 37, 239, 48), (True, 11, 11, 74, 48), (True, 28, 28, 114, 48), (True, 29, 29, 78, 48), (True, 25, 25, 68, 48)],
+    ('tradeoff', 'iid_loss'): [(True, 27, 27, 137, 48), (True, 19, 19, 107, 48), (True, 39, 39, 246, 48), (True, 38, 38, 184, 48), (True, 33, 33, 81, 48)],
+    ('uniform_gossip', None): [(True, 99, 99, 775, 48), (True, 114, 114, 895, 48), (True, 108, 108, 801, 48), (True, 115, 115, 973, 48), (True, 104, 104, 752, 48)],
+    ('uniform_gossip', 'iid_loss'): [(True, 117, 117, 1051, 48), (True, 106, 106, 924, 48), (True, 146, 146, 1222, 48), (True, 96, 96, 804, 48), (True, 94, 94, 744, 48)],
+    ('uniform_selection', None): [(True, 24, 24, 168, 48), (True, 12, 12, 75, 48), (True, 27, 27, 80, 48), (True, 40, 40, 151, 48), (True, 27, 27, 62, 48)],
+    ('uniform_selection', 'iid_loss'): [(True, 40, 40, 169, 48), (True, 25, 25, 137, 48), (True, 21, 21, 56, 48), (True, 38, 38, 125, 48), (True, 34, 34, 190, 48)],
+}
+
+
+class TestFastModePin:
+    @pytest.fixture(scope="class")
+    def pin_networks(self):
+        return [random_digraph(48, 0.15, rng=900 + t) for t in range(5)]
+
+    @pytest.mark.parametrize("case", sorted(_FAST_PIN, key=str), ids=str)
+    def test_fast_mode_streams_are_pinned(self, pin_networks, case):
+        from repro.radio.environment import build_batch_environment
+
+        name, env = case
+        assert _PIN_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
+        engine = BatchEngine(
+            environment=build_batch_environment(_PIN_LOSS) if env else None
+        )
+        traces = engine.run(
+            pin_networks,
+            BATCH_PROTOCOL_FACTORIES[name](**_PIN_PARAMS[name]),
+            rng=np.random.default_rng(31),
+            max_rounds=400,
+        )
+        observed = [
+            (
+                t.completed,
+                t.completion_round,
+                t.rounds_executed,
+                t.energy.total_transmissions,
+                t.informed_count,
+            )
+            for t in traces
+        ]
+        assert observed == _FAST_PIN[case]
+
+    def test_pin_covers_every_protocol_bare_and_lossy(self):
+        assert set(_FAST_PIN) == {
+            (name, env)
+            for name in BATCH_PROTOCOL_FACTORIES
+            for env in (None, "iid_loss")
+        }

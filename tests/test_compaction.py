@@ -72,8 +72,8 @@ ENV_SPECS = {
 
 TRIALS = 7
 #: Deliberately < TRIALS so the continuous run must retire, compact, and
-#: refill several times; watermark=1.0 makes every retirement trigger the
-#: refill check (maximum compaction churn).
+#: refill several times; a refill watermark of 1.0 makes every retirement
+#: trigger the refill check (maximum compaction churn).
 CAPACITY = 3
 MAX_ROUNDS = 300
 
@@ -118,11 +118,12 @@ def _run_continuous(net, protocol_name, env_name=None, state_backend="auto"):
         PendingTrial(net, rng=rng, tag=t)
         for t, rng in enumerate(_trial_rngs())
     )
-    traces = _engine(env_name, state_backend).run_continuous(
+    engine = _engine(env_name, state_backend)
+    engine._REFILL_WATERMARK = 1.0
+    traces = engine.run_continuous(
         pending,
         make_protocol,
         capacity=CAPACITY,
-        watermark=1.0,
         max_rounds=MAX_ROUNDS,
     )
     return traces, cohorts["built"]

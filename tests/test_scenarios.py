@@ -23,11 +23,13 @@ from repro.scenarios.runtime import results_table
 from repro.store import AggregateStore, ResultStore
 
 
-def _jobs_cell(n=48, repetitions=3, **kwargs):
+def _jobs_cell(n=48, repetitions=3, protocol_params=None, **kwargs):
     return SweepCell(
         coords={"n": n},
         graph=GraphSpec("gnp", {"n": n, "p": 0.15}),
-        protocol=ProtocolSpec("algorithm1", {"p": 0.15}),
+        protocol=ProtocolSpec(
+            "algorithm1", protocol_params if protocol_params else {"p": 0.15}
+        ),
         repetitions=repetitions,
         **kwargs,
     )
@@ -49,6 +51,28 @@ class TestSweepCell:
     def test_unknown_job_option_rejected(self):
         with pytest.raises(ValueError, match="unknown job options"):
             _jobs_cell(job_options={"turbo": True})
+
+    def test_bad_protocol_params_fail_at_spec_time(self):
+        # Without the check this grid built fine, ran its first cell and
+        # only then died with a TypeError inside the protocol factory.
+        with pytest.raises(ValueError, match=r"cell \[n=64\].*'p'"):
+            SweepGrid(
+                (
+                    _jobs_cell(),
+                    SweepCell(
+                        coords={"n": 64},
+                        graph=GraphSpec("gnp", {"n": 64, "p": 0.15}),
+                        protocol=ProtocolSpec("algorithm1", {}),
+                    ),
+                )
+            )
+        with pytest.raises(ValueError, match="bad parameters"):
+            _jobs_cell(protocol_params={"p": 0.1, "turbo": True})
+        with pytest.raises(ValueError, match="unknown protocol 'mystery'"):
+            SweepCell(
+                graph=GraphSpec("gnp", {"n": 8, "p": 0.5}),
+                protocol=ProtocolSpec("mystery", {}),
+            )
 
     def test_roundtrip(self):
         cell = _jobs_cell(job_options={"run_to_quiescence": True}, seed=4)

@@ -37,6 +37,7 @@ from repro.jobs import (
     InProcessBackend,
     JobQueue,
     ProcessPoolBackend,
+    WorkerBackend,
     WorkerPoolError,
 )
 from repro.radio.energy import EnergyReport
@@ -327,6 +328,21 @@ def _reciprocal(x):
     return 1 / x
 
 
+class _InlinePoolBackend(WorkerBackend):
+    """A worker-pool stand-in that runs its tasks inline.
+
+    The execution plan treats any backend other than
+    :class:`InProcessBackend` as fan-out, so an exact-mode sweep takes the
+    sharded path, while a monkeypatched shard function stays visible to the
+    tasks.
+    """
+
+    def run(self, fn, tasks, on_result=None, *, collect=True, task_labels=None):
+        return InProcessBackend.run(
+            self, fn, tasks, on_result, collect=collect, task_labels=task_labels
+        )
+
+
 # --------------------------------------------------------------------------- #
 # Resumable sweeps
 # --------------------------------------------------------------------------- #
@@ -360,18 +376,20 @@ class TestResumableSweeps:
                 raise KeyboardInterrupt("simulated worker death mid-shard")
             return real(shard)
 
-        # compaction="off" pins the sharded path: continuous batching never
-        # calls _execute_batch_shard (it checkpoints per trial instead, which
-        # tests/test_compaction.py covers).
+        # A fan-out queue pins the sharded path: the in-process continuous
+        # path never calls _execute_batch_shard (it checkpoints per trial
+        # instead, which tests/test_compaction.py covers).
         monkeypatch.setattr(runner_module, "_execute_batch_shard", dies_mid_sweep)
         with pytest.raises(KeyboardInterrupt):
-            _sweep(store=store, shards=3, compaction="off")
+            _sweep(store=store, shards=3, queue=JobQueue(_InlinePoolBackend()))
         monkeypatch.setattr(runner_module, "_execute_batch_shard", real)
 
         # The completed first shard (2 of 6 trials) survived the crash.
         assert store.stats()["entries"] == 2
         store.reset_counters()
-        resumed = _sweep(store=store, shards=3, compaction="off")
+        resumed = _sweep(
+            store=store, shards=3, queue=JobQueue(_InlinePoolBackend())
+        )
         assert store.hits == 2 and store.misses == 4
         for a, b in zip(baseline, resumed):
             assert_traces_equal(a, b)
