@@ -44,20 +44,18 @@ Subcommands
 Execution flags (``run`` / ``chart`` / ``report`` / ``sweep``)
 --------------------------------------------------------------
 
-Repetition sweeps ride the batched execution pipeline by default (all seeds
+Every repetition sweep runs on the batched execution pipeline (all seeds
 of a sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
-``K`` per-worker batches).  ``--no-batch`` forces the serial per-run engine,
-``--batch-mode exact`` makes batched runs bit-identical to serial ones
-(one rng stream per trial) instead of the default vectorised ``fast`` mode,
-``--state-backend {auto,dense,bitset,sparse}`` pins the node-set state
-representation (:mod:`repro.radio.nodesets`) instead of the per-workload
-heuristic, and ``--kernel {auto,numpy,compiled,edge_sampled}`` selects the
-collision-kernel implementation (:mod:`repro.radio.kernels`) — ``auto``
-runs the compiled kernel when numba is importable, falling back to the
-bit-identical numpy path otherwise.  In-process exact-mode sweeps run
-through continuous batching (live-trial retirement, batch compaction and
-refill from later seeds); everything else runs as shards.
+``K`` per-worker batches).  ``--batch-mode exact`` gives every trial its own
+rng stream, consumed exactly as the serial reference engine would, instead
+of the default vectorised ``fast`` mode, and ``--kernel
+{auto,numpy,compiled,edge_sampled}`` selects the collision-kernel
+implementation (:mod:`repro.radio.kernels`) — ``auto`` runs the compiled
+kernel when numba is importable, falling back to the bit-identical numpy
+path otherwise.  In-process exact-mode sweeps run through continuous
+batching (live-trial retirement, batch compaction and refill from later
+seeds); everything else runs as shards.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store
@@ -100,27 +98,13 @@ def _add_execution_flags(
     """Flags controlling the batched execution pipeline (shared by
     run/chart/report/sweep)."""
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run repetition sweeps through the serial per-run engine "
-        "instead of the batched pipeline",
-    )
-    parser.add_argument(
         "--batch-mode",
         choices=["fast", "exact"],
         default=batch_mode_default,
         help="randomness policy of the batched pipeline: 'fast' (vectorised, "
-        "statistically identical to serial) or 'exact' (bit-identical) "
+        "statistically identical to exact) or 'exact' (one rng stream per "
+        "trial, bit-identical to the serial reference engine) "
         f"[default: {batch_mode_default}]",
-    )
-    parser.add_argument(
-        "--state-backend",
-        choices=["auto", "dense", "bitset", "sparse"],
-        default="auto",
-        help="node-set state backend of the batch engine: 'auto' picks per "
-        "workload, 'dense' boolean arrays, 'bitset' packed uint64 words "
-        "(8x smaller gossip knowledge), 'sparse' frontier index pools "
-        "(decay/flooding at large n); results are identical either way",
     )
     parser.add_argument(
         "--kernel",
@@ -595,7 +579,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     store: Optional[ResultStore] = None
-    if hasattr(args, "no_batch"):
+    if hasattr(args, "batch_mode"):
         if args.kernel == "edge_sampled" and args.batch_mode == "exact":
             parser.error(
                 "--kernel edge_sampled is a collision approximation and "
@@ -603,9 +587,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         store = _store_from_args(args)
         execution_kwargs = dict(
-            batch=False if args.no_batch else True,
             batch_mode=args.batch_mode,
-            state_backend=args.state_backend,
             kernel=args.kernel,
             store=store,
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.statistics import SummaryStatistics
 from repro.graphs.random_digraph import connectivity_threshold_probability
@@ -16,6 +16,7 @@ __all__ = [
     "stat_mean",
     "log2n",
     "execution_provenance",
+    "leaf_energy_samples",
 ]
 
 
@@ -24,7 +25,7 @@ def execution_provenance() -> Dict[str, object]:
 
     With the sweep service in place, numbers in a report depend on more than
     the experiment parameters: the engine semantics version (which gates the
-    result-store keys), the batch axis, the randomness policy and whether a
+    result-store keys), the randomness policy and whether a
     result store served cached trials.  This is the one shared place the
     report generator (and any experiment that wants to) reads them from, so
     provenance lands in the output without threading flags through every
@@ -44,9 +45,7 @@ def execution_provenance() -> Dict[str, object]:
     # build, not while stamping a report).
     return {
         "engine_version": ENGINE_VERSION,
-        "batch": defaults.batch,
         "batch_mode": defaults.batch_mode,
-        "state_backend": defaults.state_backend,
         "kernel": defaults.kernel,
         "kernel_resolved": resolve_collision_kernel(defaults.kernel),
         "compiled_kernels": compiled_available(),
@@ -59,6 +58,20 @@ def execution_provenance() -> Dict[str, object]:
         # that keeps exact kernels out of cache_context).
         "telemetry": telemetry_provenance(),
     }
+
+
+def leaf_energy_samples(results, leaves) -> Iterator[Dict[str, object]]:
+    """Per-trial probe samples of the lower-bound gadgets (E8, E10): success,
+    completion round and the mean transmissions of the star-leaf nodes
+    (traces must carry ``per_node_transmissions``)."""
+    for result in results:
+        sample: Dict[str, object] = {"success": float(result.completed)}
+        if result.completed:
+            sample["rounds"] = float(result.completion_round)
+            sample["leaf_tx"] = float(
+                result.per_node_transmissions[leaves].mean()
+            )
+        yield sample
 
 
 def pick(scale: str, *, quick, full):

@@ -24,11 +24,11 @@ import math
 from typing import Dict, Iterator, List, Optional
 
 from repro._util.rng import spawn_generators
-from repro.core.oblivious import TimeInvariantBroadcast
+from repro.core.oblivious import BatchTimeInvariantBroadcast
 from repro.experiments.common import pick
 from repro.experiments.results import ExperimentResult, Series
 from repro.graphs.lowerbound import observation43_network
-from repro.radio.engine import SimulationEngine
+from repro.radio.batch import BatchEngine, NetworkBatch
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E7"
@@ -53,11 +53,13 @@ def _relay_tx_probe(params, seed, repetitions) -> Iterator[dict]:
     # Generous horizon: informing a destination takes ~1/(2q(1-q))
     # rounds, so scale the budget accordingly.
     horizon = int(math.ceil(40.0 * log_n / max(2 * q * (1 - q), 1e-6))) + 10
-    generators = spawn_generators(seed + n, repetitions)
-    for rep in range(repetitions):
-        protocol = TimeInvariantBroadcast(q, source=structure.source)
-        engine = SimulationEngine(keep_arrays=True)
-        result = engine.run(network, protocol, rng=generators[rep], max_rounds=horizon)
+    results = BatchEngine(keep_arrays=True).run(
+        NetworkBatch.shared(network, repetitions),
+        BatchTimeInvariantBroadcast(q, source=structure.source),
+        rngs=spawn_generators(seed + n, repetitions),
+        max_rounds=horizon,
+    )
+    for result in results:
         sample: Dict[str, object] = {"success": float(result.completed)}
         if result.completed:
             sample["rounds"] = float(result.completion_round)

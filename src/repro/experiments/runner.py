@@ -2,27 +2,25 @@
 
 A :class:`Job` is a fully declarative description of one protocol run
 (topology spec + protocol spec + seed + engine options), so a list of jobs
-can be executed serially or handed to a :class:`concurrent.futures.
-ProcessPoolExecutor` — each worker rebuilds the network and protocol from the
-specs, keeping results independent of scheduling (the per-job seed fully
-determines both the topology sample and the protocol's randomness).
+can be executed in process or handed to worker processes — each worker
+rebuilds the network and protocol from the specs, keeping results
+independent of scheduling (the per-job seed fully determines both the
+topology sample and the protocol's randomness).
 
-Repetition sweeps (the workload behind every experiment E1–E16) go through an
-:class:`ExecutionPlan`, which composes the two execution axes instead of
-treating them as alternatives:
+Every run goes through the :class:`~repro.radio.batch.BatchEngine`.
+Repetition sweeps (the workload behind every experiment E1–E17) go through
+an :class:`ExecutionPlan`, which composes batching with process fan-out:
 
-* **batching** — every registered protocol has a batched implementation
-  (``BATCH_PROTOCOL_FACTORIES`` covers ``PROTOCOL_FACTORIES`` completely), so
-  by default all ``R`` repetitions advance together through the
-  :class:`~repro.radio.batch.BatchEngine` on stacked ``(R, n)`` state;
+* **batching** — all ``R`` repetitions advance together on stacked
+  ``(R, n)`` state;
 * **process fan-out** — ``processes=K`` shards the ``R`` per-trial seeds into
   ``K`` contiguous chunks, each worker running its chunk as its own
-  :class:`~repro.radio.batch.NetworkBatch` (batching *within* each worker),
-  rather than falling back to one-job-per-worker serial execution.
+  :class:`~repro.radio.batch.NetworkBatch` (batching *within* each worker).
 
-Per-trial seeds are spawned identically on every path, so the sampled
-topologies — and, in ``batch_mode="exact"``, the full traces bit for bit —
-are independent of how the sweep was scheduled.
+Heterogeneous job lists (:func:`run_jobs`, :func:`execute_job`) run each job
+as a one-job exact-mode plan.  Per-trial seeds are spawned identically on
+every path, so the sampled topologies — and, in ``batch_mode="exact"``, the
+full traces bit for bit — are independent of how the sweep was scheduled.
 
 Sweeps are **resumable**: when a :class:`~repro.store.ResultStore` is
 attached (per call, or process-wide via :func:`configure_execution`, or the
@@ -49,35 +47,18 @@ import numpy as np
 from repro import telemetry
 from repro._util.rng import spawn_generators
 from repro.analysis.statistics import summarize
-from repro.experiments.protocols import (
-    BATCH_PROTOCOL_FACTORIES,
-    ProtocolSpec,
-    build_batch_protocol,
-    build_protocol,
-    supports_batch,
-)
+from repro.experiments.protocols import ProtocolSpec, build_batch_protocol
 from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
 from repro.jobs import InProcessBackend, JobQueue
 from repro.radio.batch import BatchEngine, NetworkBatch, PendingTrial
 from repro.radio.kernels import resolve_collision_kernel
 from repro.radio.network import RadioNetwork
-from repro.radio.nodesets import STATE_BACKENDS
 from repro.radio.collision import (
+    BATCH_COLLISION_MODELS,
     BatchCollisionModel,
     BatchErasureCollisionModel,
-    BatchStandardCollisionModel,
-    BatchWithCollisionDetectionModel,
-    CollisionModel,
-    ErasureCollisionModel,
-    StandardCollisionModel,
-    WithCollisionDetectionModel,
 )
-from repro.radio.engine import SimulationEngine
-from repro.radio.environment import (
-    build_batch_environment,
-    build_environment,
-    validate_environment_spec,
-)
+from repro.radio.environment import build_batch_environment, validate_environment_spec
 from repro.radio.trace import RunResultTrace
 from repro.store import ResultStore, canonicalize, trial_digest
 
@@ -92,17 +73,6 @@ __all__ = [
     "repeat_job",
     "job_store_key",
 ]
-
-_COLLISION_MODELS = {
-    "standard": StandardCollisionModel,
-    "collision_detection": WithCollisionDetectionModel,
-}
-
-_BATCH_COLLISION_MODELS = {
-    "standard": BatchStandardCollisionModel,
-    "collision_detection": BatchWithCollisionDetectionModel,
-}
-
 
 @dataclass(frozen=True)
 class Job:
@@ -119,6 +89,14 @@ class Job:
     erasure_probability: float = 0.0
     environment: Optional[Dict[str, object]] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.collision_model not in BATCH_COLLISION_MODELS:
+            known = ", ".join(sorted(BATCH_COLLISION_MODELS))
+            raise ValueError(
+                f"unknown collision model {self.collision_model!r}; "
+                f"known: {known}"
+            )
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -140,41 +118,16 @@ class Job:
         return out
 
 
-def _collision_model_for(job: Job) -> CollisionModel:
-    if job.erasure_probability > 0.0:
-        return ErasureCollisionModel(job.erasure_probability)
-    try:
-        return _COLLISION_MODELS[job.collision_model]()
-    except KeyError:
-        known = ", ".join(sorted(_COLLISION_MODELS))
-        raise ValueError(
-            f"unknown collision model {job.collision_model!r}; known: {known}"
-        )
-
-
 def execute_job(job: Job) -> RunResultTrace:
     """Build the network and protocol from the job's specs and run once.
 
-    Two independent generator streams are spawned from the job seed: one for
-    the topology sample, one for the protocol/engine randomness — so e.g.
+    The job runs as a one-job exact-mode :class:`ExecutionPlan`: two
+    independent generator streams are spawned from the job seed, one for
+    the topology sample and one for the protocol/engine randomness — so e.g.
     comparing two protocols with the same seed uses the *same* sampled
     network.
     """
-    graph_rng, protocol_rng = spawn_generators(job.seed, 2)
-    network = build_network(job.graph, rng=graph_rng)
-    protocol = build_protocol(job.protocol)
-    engine = SimulationEngine(
-        _collision_model_for(job),
-        record_rounds=job.record_rounds,
-        keep_arrays=job.keep_arrays,
-        run_to_quiescence=job.run_to_quiescence,
-        environment=build_environment(job.environment),
-    )
-    result = engine.run(network, protocol, rng=protocol_rng, max_rounds=job.max_rounds)
-    result.metadata.setdefault("job", job.as_dict())
-    if job.label:
-        result.metadata["label"] = job.label
-    return result
+    return ExecutionPlan(jobs=(job,), batch_mode="exact").execute()[0]
 
 
 def _worker_count(processes: Optional[int], task_count: int) -> int:
@@ -196,15 +149,22 @@ def job_store_key(job: Job, context: Dict[str, object]) -> str:
     """The content digest a job's result is stored under.
 
     ``context`` carries the execution facts that affect the result bits on
-    top of the job spec itself — the randomness policy (``batch_mode``), the
-    node-set ``state_backend`` knob and, in fast mode, the cohort entropy
-    (see :meth:`ExecutionPlan.cache_context`).  The job's ``label`` is
-    display metadata and deliberately excluded, so relabelled sweeps still
-    dedup.
+    top of the job spec itself — the randomness policy (``batch_mode``) and,
+    in fast mode, the cohort entropy (see :meth:`ExecutionPlan.cache_context`).
+    The job's ``label`` is display metadata and deliberately excluded, so
+    relabelled sweeps still dedup.
     """
     payload = job.as_dict()
     payload.pop("label", None)
     return trial_digest({"job": payload, "context": dict(context)})
+
+
+def _mode_context(batch_mode: str) -> Dict[str, object]:
+    """The cache-context entries every plan carries.  ``state_backend`` is
+    a fixed literal: sweeps always let the engine pick the node-set backend
+    (every backend is bit-identical), and the key keeps existing store
+    digests valid."""
+    return {"batch_mode": batch_mode, "state_backend": "auto"}
 
 
 def _trace_store_payload(trace: RunResultTrace) -> dict:
@@ -288,38 +248,6 @@ def _resolve_store(store) -> Optional[ResultStore]:
     return store
 
 
-def _run_jobs_queued(
-    jobs: Sequence[Job],
-    *,
-    processes: Optional[int] = None,
-    queue: Optional[JobQueue] = None,
-    sink: Optional[_ResultSink] = None,
-    collect: bool = True,
-) -> List[RunResultTrace]:
-    """One engine run per job through the job queue (no store consultation)."""
-    jobs = list(jobs)
-    workers = _worker_count(processes, len(jobs))
-    if queue is None:
-        queue = JobQueue.for_workers(workers)
-    # A computed chunksize (instead of the default 1) amortises the per-item
-    # pickle/IPC round trip on large sweeps while still keeping ~4 chunks per
-    # worker for load balancing.
-    chunksize = max(1, len(jobs) // (4 * workers)) if workers > 1 else 1
-    return queue.run(
-        execute_job, jobs, on_result=sink, chunksize=chunksize, collect=collect
-    )
-
-
-#: Cache context of the serial per-run engine path.  Serial runs are keyed
-#: separately from batched ones (conservative: the exact-mode equivalence the
-#: tests pin covers the trace's headline fields, and keying by path costs
-#: only a recompute, never a wrong hit).
-_SERIAL_CONTEXT: Dict[str, object] = {
-    "batch_mode": "serial",
-    "state_backend": "auto",
-}
-
-
 def run_jobs(
     jobs: Sequence[Job],
     *,
@@ -327,9 +255,10 @@ def run_jobs(
     store=None,
     queue: Optional[JobQueue] = None,
 ) -> List[RunResultTrace]:
-    """Execute ``jobs`` one engine run per job, serially or across workers.
+    """Execute ``jobs`` one :func:`execute_job` per job, in process or across
+    workers.
 
-    ``processes=None`` (default) runs serially; pass an integer (or 0 for
+    ``processes=None`` (default) runs in process; pass an integer (or 0 for
     ``os.cpu_count()``) to fan out.  This is the heterogeneous-job path —
     repetition sweeps should go through :func:`repeat_job` /
     :class:`ExecutionPlan`, which batch the repetition axis as well.
@@ -338,23 +267,33 @@ def run_jobs(
     executing anything (``None``: the process-wide default, ``False``:
     disabled, or a :class:`~repro.store.ResultStore` / path): cached jobs
     are returned without touching the engine and fresh results are
-    checkpointed as they complete.  ``queue`` overrides the
-    :class:`~repro.jobs.JobQueue` work is dispatched through.
+    checkpointed as they complete, under the exact-mode cache context.
+    ``queue`` overrides the :class:`~repro.jobs.JobQueue` work is dispatched
+    through.
     """
     jobs = list(jobs)
-    resolved = _resolve_store(store)
-    if resolved is None:
-        return _run_jobs_queued(jobs, processes=processes, queue=queue)
 
-    def run_missing(missing: List[int], sink: _ResultSink) -> List[RunResultTrace]:
-        return _run_jobs_queued(
+    def run_missing(
+        missing: Sequence[int], sink: Optional[_ResultSink] = None
+    ) -> List[RunResultTrace]:
+        workers = _worker_count(processes, len(missing))
+        # A computed chunksize (instead of the default 1) amortises the
+        # per-item pickle/IPC round trip on large sweeps while still keeping
+        # ~4 chunks per worker for load balancing.
+        chunksize = max(1, len(missing) // (4 * workers)) if workers > 1 else 1
+        dispatch = queue if queue is not None else JobQueue.for_workers(workers)
+        return dispatch.run(
+            execute_job,
             [jobs[index] for index in missing],
-            processes=processes,
-            queue=queue,
-            sink=sink,
+            on_result=sink,
+            chunksize=chunksize,
         )
 
-    keys = [job_store_key(job, _SERIAL_CONTEXT) for job in jobs]
+    resolved = _resolve_store(store)
+    if resolved is None:
+        return run_missing(range(len(jobs)))
+    context = _mode_context("exact")
+    keys = [job_store_key(job, context) for job in jobs]
     return _consult_store(resolved, jobs, keys, run_missing)
 
 
@@ -362,9 +301,7 @@ def run_jobs(
 class _ExecutionDefaults:
     """Process-wide defaults for the batch axis of :class:`ExecutionPlan`."""
 
-    batch: Union[bool, str] = True
     batch_mode: str = "fast"
-    state_backend: str = "auto"
     kernel: str = "auto"
     store: Optional[ResultStore] = None
     environment: Optional[Dict[str, object]] = None
@@ -378,23 +315,18 @@ _UNSET = object()
 
 def configure_execution(
     *,
-    batch: Union[bool, str, None] = None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     store=_UNSET,
     environment=_UNSET,
 ) -> None:
-    """Set process-wide execution defaults (the CLI's ``--no-batch`` /
-    ``--batch-mode`` / ``--state-backend`` / ``--kernel`` / cache flags land
-    here).
+    """Set process-wide execution defaults (the CLI's ``--batch-mode`` /
+    ``--kernel`` / cache flags land here).
 
     ``repeat_job`` / :class:`ExecutionPlan` use these whenever the caller
-    does not pass ``batch`` / ``batch_mode`` / ``state_backend`` /
-    ``kernel`` explicitly, so the whole experiment suite can be switched to
-    serial, exact-mode, a forced node-set state backend or a specific
-    collision kernel without threading flags through every experiment
-    module.
+    does not pass ``batch_mode`` / ``kernel`` explicitly, so the whole
+    experiment suite can be switched to exact mode or a specific collision
+    kernel without threading flags through every experiment module.
 
     ``store`` installs the process-wide content-addressed result store the
     sweeps consult (a :class:`~repro.store.ResultStore`, a cache-dir path,
@@ -408,12 +340,8 @@ def configure_execution(
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
-    if batch is not None:
-        updates["batch"] = batch
     if batch_mode is not None:
         updates["batch_mode"] = batch_mode
-    if state_backend is not None:
-        updates["state_backend"] = state_backend
     if kernel is not None:
         # Validate eagerly (mode-independent checks only) so a typo fails at
         # configuration time, not on the first sweep.
@@ -435,7 +363,6 @@ class _BatchShard:
     jobs: Tuple[Job, ...]
     mode: str
     fast_seed: Optional[np.random.SeedSequence]
-    state_backend: str = "auto"
     kernel: str = "auto"
     #: Plan-level topology cache: for deterministic graph families every
     #: job's sample is the same network, so the plan builds it once and every
@@ -518,7 +445,6 @@ def _execute_batch_shard_impl(
         record_rounds=template.record_rounds,
         keep_arrays=template.keep_arrays,
         run_to_quiescence=template.run_to_quiescence,
-        state_backend=shard.state_backend,
         environment=build_batch_environment(template.environment),
         kernel=shard.kernel,
     )
@@ -558,47 +484,27 @@ def _execute_batch_shard_impl(
     return results
 
 
-def _batch_collision_model_for(job: Job) -> Optional[BatchCollisionModel]:
+def _batch_collision_model_for(job: Job) -> BatchCollisionModel:
     if job.erasure_probability > 0.0:
         return BatchErasureCollisionModel(job.erasure_probability)
-    factory = _BATCH_COLLISION_MODELS.get(job.collision_model)
-    return factory() if factory is not None else None
+    return BATCH_COLLISION_MODELS[job.collision_model]()
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a homogeneous repetition sweep is executed.
 
-    The plan composes the two execution axes — batching and process fan-out —
-    instead of treating them as mutually exclusive:
+    Every job runs on the :class:`~repro.radio.batch.BatchEngine`; the plan
+    composes batching with process fan-out.  With ``processes=None`` all
+    ``R`` trials run in process; with ``processes=K`` the ``R`` seeds are
+    sharded into ``K`` contiguous chunks and each worker runs its chunk as
+    its own :class:`~repro.radio.batch.NetworkBatch`.
 
-    ========== ============= =================================================
-    ``batch``  ``processes`` execution
-    ========== ============= =================================================
-    truthy     ``None``      one :class:`~repro.radio.batch.NetworkBatch` of
-                             all ``R`` trials, in process
-    truthy     ``K``         ``R`` seeds sharded into ``K`` contiguous chunks;
-                             each worker runs its chunk as its own batch
-    ``False``  ``None``      serial loop, one engine run per job
-    ``False``  ``K``         one-job-per-worker serial fan-out
-    ========== ============= =================================================
-
-    ``batch`` may also be the string ``"require"``: batch like ``True`` but
-    raise instead of silently falling back when the sweep is not batchable
-    (unknown collision model, or — should the registries ever diverge again —
-    a protocol without a batched implementation), so a caller counting on
-    batch throughput finds out instead of quietly running ~10x slower.
-
-    ``batch_mode`` selects the randomness policy of the batched path:
-    ``"fast"`` (one shared generator per shard, vectorised draws —
-    statistically identical to serial) or ``"exact"`` (one child generator
-    per trial, consumed exactly as the serial engine would — bit-identical
-    to serial, regardless of sharding).
-
-    ``state_backend`` selects the node-set state representation of the batch
-    engine (``"auto"`` / ``"dense"`` / ``"bitset"`` / ``"sparse"``, see
-    :mod:`repro.radio.nodesets`); results are identical under every backend
-    (bit-identical in exact mode), so this is purely a space/time knob.
+    ``batch_mode`` selects the randomness policy: ``"fast"`` (one shared
+    generator per shard, vectorised draws — statistically identical to
+    exact) or ``"exact"`` (one child generator per trial, consumed exactly
+    as the serial reference engine would — bit-identical to it, regardless
+    of sharding).
 
     ``kernel`` selects the collision-kernel implementation
     (:data:`repro.radio.kernels.COLLISION_KERNELS`): ``"auto"`` (default)
@@ -630,7 +536,7 @@ class ExecutionPlan:
     number of shards from the worker count — more shards mean finer resume
     checkpoints and better load balancing at a small per-shard overhead.
 
-    A batched exact-mode sweep that runs in process (one worker, or an
+    An exact-mode sweep that runs in process (one worker, or an
     in-process ``queue``) goes through one
     :meth:`~repro.radio.batch.BatchEngine.run_continuous` loop: completed
     and dead trials retire the round they stop, the live batch is compacted
@@ -638,7 +544,7 @@ class ExecutionPlan:
     rounds vary widely stops being billed for its slowest trial's horizon.
     Every trial is bit-identical to the sharded path, so this is an
     execution detail, not a result axis: it never changes store digests.
-    Every other batched sweep runs as shards (fast-mode draws are
+    Every other sweep runs as shards (fast-mode draws are
     cohort-wide, so the shard layout must stay fixed for its cache keys).
 
     The jobs must be a homogeneous sweep: same specs and engine options,
@@ -647,10 +553,8 @@ class ExecutionPlan:
 
     jobs: Tuple[Job, ...]
     processes: Optional[int] = None
-    batch: Union[bool, str] = True
     batch_mode: str = "fast"
     fast_seed: Optional[np.random.SeedSequence] = None
-    state_backend: str = "auto"
     kernel: str = "auto"
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
@@ -659,19 +563,9 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("ExecutionPlan needs at least one job")
-        if self.batch not in (True, False, "require"):
-            raise ValueError(
-                f"batch must be True, False or 'require', got {self.batch!r}"
-            )
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
-            )
-        if self.state_backend not in STATE_BACKENDS:
-            known = ", ".join(STATE_BACKENDS)
-            raise ValueError(
-                f"state_backend must be one of {known}, "
-                f"got {self.state_backend!r}"
             )
         # Fails fast on unknown kernels and on the illegal
         # edge_sampled x exact combination (an approximation cannot honour
@@ -685,22 +579,6 @@ class ExecutionPlan:
             )
 
     # ------------------------------------------------------------------ #
-    def unbatchable_reason(self) -> Optional[str]:
-        """Why the sweep cannot take the batch path (``None`` when it can)."""
-        template = self.jobs[0]
-        if not supports_batch(template.protocol):
-            known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
-            return (
-                f"protocol {template.protocol.name!r} has no batched "
-                f"implementation (batchable: {known})"
-            )
-        if _batch_collision_model_for(template) is None:
-            return (
-                f"collision model {template.collision_model!r} has no "
-                "batched counterpart"
-            )
-        return None
-
     def shared_topology(self) -> Optional[RadioNetwork]:
         """The plan-wide topology cache entry, if the sweep admits one.
 
@@ -766,7 +644,6 @@ class ExecutionPlan:
                 jobs=jobs[bounds[k] : bounds[k + 1]],
                 mode=self.batch_mode,
                 fast_seed=fast_seeds[k],
-                state_backend=self.state_backend,
                 kernel=self.kernel,
                 shared_network=shared_network,
                 shared_batch=shared_batches.get(int(bounds[k + 1] - bounds[k])),
@@ -801,13 +678,14 @@ class ExecutionPlan:
         jobs = self.jobs
         template = jobs[0]
         shared_network = self.shared_topology()
-        capacity = max(len(shard.jobs) for shard in self.shards())
+        # The largest shard of the sharded layout (shard sizes differ by at
+        # most one).
+        capacity = -(-len(jobs) // self._shard_total())
         engine = BatchEngine(
             _batch_collision_model_for(template),
             record_rounds=template.record_rounds,
             keep_arrays=template.keep_arrays,
             run_to_quiescence=template.run_to_quiescence,
-            state_backend=self.state_backend,
             environment=build_batch_environment(template.environment),
             kernel=self.kernel,
         )
@@ -872,20 +750,15 @@ class ExecutionPlan:
     def cache_context(self) -> Dict[str, object]:
         """The execution facts baked into this sweep's store keys.
 
-        Exact-mode (and serial) trials are pure functions of their job spec,
-        so their context is just the mode and state-backend knobs.  Fast
-        mode draws from cohort-wide streams — one shared generator per shard
-        — so its context additionally pins the cohort (fast-seed entropy,
-        shard layout): a fast key can only hit when the *whole sweep* is
-        identical, never bit-mixing draws across differently shaped runs.
+        Exact-mode trials are pure functions of their job spec, so their
+        context is just the mode (plus the fixed ``state_backend`` literal,
+        see :func:`_mode_context`).  Fast mode draws from cohort-wide
+        streams — one shared generator per shard — so its context
+        additionally pins the cohort (fast-seed entropy, shard layout): a
+        fast key can only hit when the *whole sweep* is identical, never
+        bit-mixing draws across differently shaped runs.
         """
-        batchable = bool(self.batch) and self.unbatchable_reason() is None
-        if not batchable:
-            return dict(_SERIAL_CONTEXT)
-        context: Dict[str, object] = {
-            "batch_mode": self.batch_mode,
-            "state_backend": self.state_backend,
-        }
+        context = _mode_context(self.batch_mode)
         resolved_kernel = resolve_collision_kernel(
             self.kernel, exact_mode=self.batch_mode == "exact"
         )
@@ -916,15 +789,6 @@ class ExecutionPlan:
         the missing ones are executed (checkpointed back shard by shard); in
         fast mode the cache is all-or-nothing (see :meth:`cache_context`).
         """
-        if self.batch == "require":
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                # Raise even when the store could serve the sweep: 'require'
-                # is a contract about how results are produced, and a silent
-                # serial-keyed cache hit would mask the mismatch.
-                raise ValueError(
-                    f"batch='require' but the sweep is not batchable: {reason}"
-                )
         store = self.store
         if store is None:
             return self._run(None)
@@ -974,12 +838,6 @@ class ExecutionPlan:
         Returns counters: ``{"total", "skipped", "served", "executed"}``.
         """
         skip = set(skip_indices)
-        if self.batch == "require":
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                raise ValueError(
-                    f"batch='require' but the sweep is not batchable: {reason}"
-                )
         counts = {
             "total": len(self.jobs),
             "skipped": len(skip),
@@ -1050,104 +908,82 @@ class ExecutionPlan:
         trace, but nothing is retained and the return value is empty — a
         10⁵-trial sweep's memory stays bounded by one shard, not by R.
         """
-        if self.batch:
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                if self.batch == "require":
-                    raise ValueError(
-                        f"batch='require' but the sweep is not batchable: "
-                        f"{reason}"
-                    )
-                return _run_jobs_queued(
-                    self.jobs,
-                    processes=self.processes,
-                    queue=self.queue,
-                    sink=sink,
-                    collect=collect,
+        if self.batch_mode == "exact" and self._runs_in_process():
+            return self._run_continuous(sink, collect=collect)
+        shards = self.shards()
+        queue = self.queue
+        if queue is None:
+            workers = _worker_count(self.processes, len(self.jobs))
+            queue = JobQueue.for_workers(min(workers, len(shards)))
+        starts = np.concatenate(
+            [[0], np.cumsum([len(shard.jobs) for shard in shards])]
+        )
+
+        # Name each shard by its first trial's cell digest, so a
+        # poisoned shard is identifiable (WorkerPoolError), reproducible
+        # straight from the error message, and attributable in the
+        # telemetry stream (the label is also the shard span's name and
+        # the tag relayed events carry home from workers).
+        context = self.cache_context()
+        labels = [
+            f"shard[{k}]:{job_store_key(shard.jobs[0], context)[:16]}"
+            for k, shard in enumerate(shards)
+        ]
+        shards = [
+            replace(shard, label=label)
+            for shard, label in zip(shards, labels)
+        ]
+        # Worker processes buffer their telemetry and ship it back with
+        # the shard results (the parent cannot see their pipelines);
+        # in-process execution emits directly, so no wrapping needed.
+        traced = telemetry.enabled() and not isinstance(
+            queue.backend, InProcessBackend
+        )
+
+        def on_shard(shard_index: int, shard_result) -> None:
+            if traced:
+                shard_result, payload = shard_result
+                telemetry.ingest(payload, shard=labels[shard_index])
+            if sink is not None:
+                base = int(starts[shard_index])
+                for offset, trace in enumerate(shard_result):
+                    sink(base + offset, trace)
+
+        if (
+            not collect
+            and sink is not None
+            and isinstance(queue.backend, InProcessBackend)
+        ):
+            # In-process streaming: hand the sink through to the engine
+            # so traces flow out one trial at a time and not even one
+            # shard's trace list is ever materialised.  (Process fan-out
+            # keeps the per-shard list — the traces have to cross the
+            # IPC boundary as a batch anyway.)
+            def run_streaming(item) -> None:
+                index, shard = item
+                base = int(starts[index])
+                _execute_batch_shard(
+                    shard,
+                    result_sink=lambda t, trace: sink(base + t, trace),
                 )
-            if self.batch_mode == "exact" and self._runs_in_process():
-                return self._run_continuous(sink, collect=collect)
-            shards = self.shards()
-            queue = self.queue
-            if queue is None:
-                workers = _worker_count(self.processes, len(self.jobs))
-                queue = JobQueue.for_workers(min(workers, len(shards)))
-            starts = np.concatenate(
-                [[0], np.cumsum([len(shard.jobs) for shard in shards])]
-            )
 
-            # Name each shard by its first trial's cell digest, so a
-            # poisoned shard is identifiable (WorkerPoolError), reproducible
-            # straight from the error message, and attributable in the
-            # telemetry stream (the label is also the shard span's name and
-            # the tag relayed events carry home from workers).
-            context = self.cache_context()
-            labels = [
-                f"shard[{k}]:{job_store_key(shard.jobs[0], context)[:16]}"
-                for k, shard in enumerate(shards)
-            ]
-            shards = [
-                replace(shard, label=label)
-                for shard, label in zip(shards, labels)
-            ]
-            # Worker processes buffer their telemetry and ship it back with
-            # the shard results (the parent cannot see their pipelines);
-            # in-process execution emits directly, so no wrapping needed.
-            traced = telemetry.enabled() and not isinstance(
-                queue.backend, InProcessBackend
-            )
-
-            def on_shard(shard_index: int, shard_result) -> None:
-                if traced:
-                    shard_result, payload = shard_result
-                    telemetry.ingest(payload, shard=labels[shard_index])
-                if sink is not None:
-                    base = int(starts[shard_index])
-                    for offset, trace in enumerate(shard_result):
-                        sink(base + offset, trace)
-
-            if (
-                not collect
-                and sink is not None
-                and isinstance(queue.backend, InProcessBackend)
-            ):
-                # In-process streaming: hand the sink through to the engine
-                # so traces flow out one trial at a time and not even one
-                # shard's trace list is ever materialised.  (Process fan-out
-                # keeps the per-shard list — the traces have to cross the
-                # IPC boundary as a batch anyway.)
-                def run_streaming(item) -> None:
-                    index, shard = item
-                    base = int(starts[index])
-                    _execute_batch_shard(
-                        shard,
-                        result_sink=lambda t, trace: sink(base + t, trace),
-                    )
-
-                queue.run(
-                    run_streaming,
-                    list(enumerate(shards)),
-                    collect=False,
-                    task_labels=labels,
-                )
-                return []
-            parts = queue.run(
-                _execute_batch_shard_traced if traced else _execute_batch_shard,
-                shards,
-                on_result=on_shard,
-                collect=collect,
+            queue.run(
+                run_streaming,
+                list(enumerate(shards)),
+                collect=False,
                 task_labels=labels,
             )
-            if traced:
-                return [result for part in parts for result in part[0]]
-            return [result for part in parts for result in part]
-        return _run_jobs_queued(
-            self.jobs,
-            processes=self.processes,
-            queue=self.queue,
-            sink=sink,
+            return []
+        parts = queue.run(
+            _execute_batch_shard_traced if traced else _execute_batch_shard,
+            shards,
+            on_result=on_shard,
             collect=collect,
+            task_labels=labels,
         )
+        if traced:
+            return [result for part in parts for result in part[0]]
+        return [result for part in parts for result in part]
 
 
 def build_repetition_plan(
@@ -1157,9 +993,7 @@ def build_repetition_plan(
     repetitions: int,
     seed: int = 0,
     processes: Optional[int] = None,
-    batch: Union[bool, str, None] = None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     store=None,
     queue: Optional[JobQueue] = None,
@@ -1176,12 +1010,8 @@ def build_repetition_plan(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if batch is None:
-        batch = _EXECUTION_DEFAULTS.batch
     if batch_mode is None:
         batch_mode = _EXECUTION_DEFAULTS.batch_mode
-    if state_backend is None:
-        state_backend = _EXECUTION_DEFAULTS.state_backend
     if kernel is None:
         kernel = _EXECUTION_DEFAULTS.kernel
     if "environment" not in job_options:
@@ -1195,7 +1025,7 @@ def build_repetition_plan(
         )
     base = np.random.SeedSequence(seed)
     # The extra child seeds the fast-mode batch generator; the first
-    # ``repetitions`` children are identical to what the serial path spawns.
+    # ``repetitions`` children are the per-trial job seeds.
     children = base.spawn(repetitions + 1)
     seeds = [int(s.generate_state(1)[0]) for s in children[:repetitions]]
     jobs = tuple(
@@ -1204,10 +1034,8 @@ def build_repetition_plan(
     return ExecutionPlan(
         jobs=jobs,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
         fast_seed=children[-1],
-        state_backend=state_backend,
         kernel=kernel,
         store=_resolve_store(store),
         queue=queue,
@@ -1222,9 +1050,7 @@ def repeat_job(
     repetitions: int,
     seed: int = 0,
     processes: Optional[int] = None,
-    batch: Union[bool, str, None] = None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     store=None,
     queue: Optional[JobQueue] = None,
@@ -1233,28 +1059,24 @@ def repeat_job(
 ) -> List[RunResultTrace]:
     """Run the same (graph, protocol) pair under ``repetitions`` different seeds.
 
-    Builds an :class:`ExecutionPlan` and executes it: by default all
-    repetitions run through the :class:`~repro.radio.batch.BatchEngine` on
-    stacked ``(R, n)`` state (one topology sample per trial), sharded across
+    Builds an :class:`ExecutionPlan` and executes it: all repetitions run
+    through the :class:`~repro.radio.batch.BatchEngine` on stacked
+    ``(R, n)`` state (one topology sample per trial), sharded across
     ``processes`` workers when fan-out is requested.  Per-trial seeds are
-    spawned exactly as in the serial path, so the sampled topologies are
+    spawned identically on every path, so the sampled topologies are
     identical and aggregates are statistically interchangeable across every
-    execution strategy.  Anything non-batchable falls back to
-    :func:`run_jobs` transparently — pass ``batch="require"`` to get an error
-    instead of the silent fallback.  The returned ``List[RunResultTrace]``
-    has the same shape either way.
+    execution strategy.
 
-    ``batch`` / ``batch_mode`` / ``state_backend`` / ``kernel`` default to
-    the process-wide settings of :func:`configure_execution` (out of the
-    box: batched, ``"fast"``, ``"auto"`` node-set state, ``"auto"``
-    collision kernel).
+    ``batch_mode`` / ``kernel`` default to the process-wide settings of
+    :func:`configure_execution` (out of the box: ``"fast"`` and the
+    ``"auto"`` collision kernel).
 
     * ``batch_mode="fast"``: one shared generator per shard with vectorised
-      draws — statistically identical to serial, not bit-identical.
+      draws — statistically identical to exact mode, not bit-identical.
     * ``batch_mode="exact"``: one child generator per trial, consumed exactly
-      as the serial engine would — results are bit-identical to
-      ``batch=False`` runs of the same seed (the equivalence tests rely on
-      this), regardless of sharding.
+      as the serial reference engine would — results are bit-identical to
+      it for the same seed (the equivalence tests rely on this), regardless
+      of sharding.
 
     ``store`` selects the content-addressed result store (``None``: the
     process-wide default installed by :func:`configure_execution`,
@@ -1272,9 +1094,7 @@ def repeat_job(
         repetitions=repetitions,
         seed=seed,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
-        state_backend=state_backend,
         kernel=kernel,
         store=store,
         queue=queue,

@@ -16,8 +16,8 @@ dimension instead:
   (:mod:`repro.radio.nodesets`): dense boolean arrays, bitset-packed
   ``uint64`` words (8x smaller gossip knowledge tensors), or sparse frontier
   index pools (Decay/flooding at large ``n``) — selected automatically per
-  workload or forced via ``state_backend=``; every backend is bit-identical
-  to dense under the exact rng mode.
+  workload or forced via ``BatchEngine(state_backend=...)``; every backend
+  is bit-identical to dense under the exact rng mode.
 * :class:`BatchEngine` owns the one batched round loop, masking out trials
   that have individually completed (or gone quiescent) so a finished trial
   costs nothing while its siblings run on.  :meth:`BatchEngine.run` runs a
@@ -1940,11 +1940,13 @@ def run_protocol_batch(
     keep_arrays: bool = False,
     run_to_quiescence: bool = False,
     retire_dead: bool = True,
-    state_backend: str = "auto",
     environment=None,
     kernel: str = "auto",
 ) -> List[RunResultTrace]:
     """Convenience wrapper: build a :class:`BatchEngine` and run once.
+
+    The node-set backend is chosen per workload; construct a
+    :class:`BatchEngine` directly to pin one.
 
     Examples
     --------
@@ -1963,7 +1965,6 @@ def run_protocol_batch(
         keep_arrays=keep_arrays,
         run_to_quiescence=run_to_quiescence,
         retire_dead=retire_dead,
-        state_backend=state_backend,
         environment=environment,
         kernel=kernel,
     )

@@ -46,6 +46,7 @@ __all__ = [
     "BatchStandardCollisionModel",
     "BatchWithCollisionDetectionModel",
     "BatchErasureCollisionModel",
+    "BATCH_COLLISION_MODELS",
     "as_batch_collision_model",
 ]
 
@@ -821,6 +822,15 @@ class BatchErasureCollisionModel(BatchCollisionModel):
             f"BatchErasureCollisionModel("
             f"erasure_probability={self.erasure_probability})"
         )
+
+
+#: Batched collision models by the name job specs use
+#: (``repro.experiments.runner.Job.collision_model``); erasure is selected by
+#: a probability instead of a name.
+BATCH_COLLISION_MODELS = {
+    "standard": BatchStandardCollisionModel,
+    "collision_detection": BatchWithCollisionDetectionModel,
+}
 
 
 def as_batch_collision_model(model: CollisionModel) -> BatchCollisionModel:

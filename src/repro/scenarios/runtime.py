@@ -272,9 +272,7 @@ def _run_cell_impl(
     metrics=(),
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
     sketch_capacity: int = 1024,
@@ -308,9 +306,7 @@ def _run_cell_impl(
         repetitions=cell.repetitions,
         seed=cell_seed,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
-        state_backend=state_backend,
         kernel=kernel,
         store=store,
         shards=shards,
@@ -494,9 +490,7 @@ def run_grid(
     metrics=(),
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
     sketch_capacity: int = 1024,
@@ -518,9 +512,7 @@ def run_grid(
                 metrics=metrics,
                 processes=processes,
                 store=store,
-                batch=batch,
                 batch_mode=batch_mode,
-                state_backend=state_backend,
                 kernel=kernel,
                 shards=shards,
                 sketch_capacity=sketch_capacity,
@@ -591,9 +583,7 @@ def run_scenario(
     *,
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
     sketch_capacity: int = 1024,
@@ -602,8 +592,8 @@ def run_scenario(
 
     Execution knobs left at ``None`` fall back to the process-wide defaults
     (:func:`~repro.experiments.runner.configure_execution`), exactly like
-    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--state-backend`` /
-    ``--kernel`` / cache flags govern scenario sweeps too.
+    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--kernel`` / cache
+    flags govern scenario sweeps too.
     """
     return run_grid(
         spec.grid,
@@ -611,9 +601,7 @@ def run_scenario(
         metrics=spec.metrics,
         processes=processes,
         store=store,
-        batch=batch,
         batch_mode=batch_mode,
-        state_backend=state_backend,
         kernel=kernel,
         shards=shards,
         sketch_capacity=sketch_capacity,

@@ -29,8 +29,9 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.graphs.builders import GraphSpec
+from repro.graphs.builders import FAMILIES, GraphSpec
 from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec
+from repro.radio.environment import validate_environment_spec
 from repro.store.keys import canonical_dumps
 
 __all__ = ["SweepCell", "SweepGrid", "ScenarioSpec"]
@@ -102,12 +103,33 @@ class SweepCell:
                 raise ValueError(
                     f"unknown job options {sorted(unknown)}; known: {known}"
                 )
+            self._check_graph_family()
             self._check_protocol_params()
+            self._check_environment()
         else:
             if not self.probe:
                 raise ValueError("a probe cell needs a registered probe name")
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
+
+    def _check_graph_family(self) -> None:
+        family = self.graph.family
+        if family not in FAMILIES:
+            known = ", ".join(sorted(FAMILIES))
+            raise ValueError(
+                f"cell {self.label()}: unknown graph family {family!r}; "
+                f"known families: {known}"
+            )
+
+    def _check_environment(self) -> None:
+        if "environment" not in self.job_options:
+            return
+        try:
+            validate_environment_spec(self.job_options["environment"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"cell {self.label()}: bad environment spec: {exc}"
+            ) from None
 
     def _check_protocol_params(self) -> None:
         """Fail at spec time, not after earlier cells have run, when the

@@ -3,7 +3,7 @@
 Every per-trial result is addressed by a SHA-256 digest of *what produced
 it*: the job's declarative specs (graph family + params, protocol name +
 params, seed, engine options) plus the execution context that affects the
-result bits (randomness policy, state backend) and :data:`ENGINE_VERSION`.
+result bits (randomness policy, fast-mode cohort) and :data:`ENGINE_VERSION`.
 Two configurations that would produce identical bits must digest to the same
 key, so the payload is canonicalised before hashing:
 

@@ -119,24 +119,29 @@ class MemorySink:
 
 
 class FileSink:
-    """Appends one JSON object per line to ``path``.
+    """Writes one JSON object per line to ``path``.
 
     The file is opened lazily on the first record and flushed per line,
     so a crashed run still leaves a readable (possibly torn-tailed)
     trace; the summarizer skips torn lines the same way the result
-    store does.
+    store does.  The first record of a sink truncates the file: span ids
+    restart at 0 every session, so a reused path must not merge an
+    earlier session's records into this one.
     """
 
     def __init__(self, path: os.PathLike | str) -> None:
         self.path = os.fspath(path)
         self._fh: Optional[IO[str]] = None
+        self._mode = "w"
 
     def emit(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
             parent = os.path.dirname(self.path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open(self.path, self._mode, encoding="utf-8")
+            # Reopened after close() within the same session: append.
+            self._mode = "a"
         self._fh.write(json.dumps(record, separators=(",", ":"), default=str))
         self._fh.write("\n")
         self._fh.flush()

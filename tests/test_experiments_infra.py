@@ -158,8 +158,11 @@ class TestRunner:
         assert result.n == 128
 
     def test_unknown_collision_model(self):
-        with pytest.raises(ValueError):
-            execute_job(self._job(collision_model="bogus"))
+        # Rejected when the job is built, before anything runs.
+        with pytest.raises(
+            ValueError, match="unknown collision model 'bogus'.*standard"
+        ):
+            self._job(collision_model="bogus")
 
     def test_run_jobs_serial(self):
         results = run_jobs([self._job(seed=s) for s in (1, 2, 3)])

@@ -9,7 +9,9 @@ benchmark suite (one bench per experiment) and recorded in EXPERIMENTS.md.
 import pytest
 
 from repro.experiments import run_experiment
+from repro.experiments.registry import all_experiments
 from repro.experiments.results import ExperimentResult
+from repro.scenarios.probes import get_probe
 
 
 @pytest.mark.parametrize("experiment_id", ["E7", "E9"])
@@ -71,3 +73,153 @@ def test_results_are_json_serialisable():
     text = result.to_json()
     back = ExperimentResult.from_json(text)
     assert back.experiment_id == "E9"
+
+
+#: Samples of the probes that drive the engine themselves (E2, E7, E8, E10,
+#: E13) at tiny parameters: ``(probe, params, seed, samples)``, repetitions
+#: = ``len(samples)``.  The values are the serial engine's; the probes run
+#: exact-mode ``BatchEngine`` and must reproduce them bit for bit.
+_PROBE_PINS = [
+    (
+        "e2.phase_growth",
+        {"n": 256, "p": 0.06},
+        3,
+        [
+            {
+                "success": 0.0,
+                "log_growth": [0.0408219945202552],
+                "phase1_ratio": 1.0416666666666667,
+                "T": 1.0,
+                "phase2_fraction": 0.36328125,
+            },
+            {
+                "success": 0.0,
+                "log_growth": [-0.4291816347254803],
+                "phase1_ratio": 0.6510416666666667,
+                "T": 1.0,
+                "phase2_fraction": 0.33984375,
+            },
+        ],
+    ),
+    (
+        "e7.relay_transmissions",
+        {"n": 8, "q": 0.25},
+        5,
+        [
+            {"success": 1.0, "rounds": 13.0, "relay_tx": 36.0},
+            {"success": 1.0, "rounds": 12.0, "relay_tx": 40.0},
+            {"success": 1.0, "rounds": 11.0, "relay_tx": 12.0},
+        ],
+    ),
+    (
+        "e8.time_invariant_frontier",
+        {"n": 16, "q": 0.25},
+        7,
+        [
+            {"success": 1.0, "rounds": 147.0, "leaf_tx": 30.2},
+            {"success": 1.0, "rounds": 116.0, "leaf_tx": 26.466666666666665},
+            {"success": 1.0, "rounds": 139.0, "leaf_tx": 31.4},
+        ],
+    ),
+    (
+        "e8.algorithm3_reference",
+        {"n": 16},
+        7,
+        [
+            {"success": 1.0, "rounds": 65.0, "leaf_tx": 16.933333333333334},
+            {"success": 1.0, "rounds": 117.0, "leaf_tx": 16.1},
+            {"success": 1.0, "rounds": 93.0, "leaf_tx": 15.1},
+        ],
+    ),
+    (
+        "e10.linear_budget",
+        {"n": 16, "q": 0.15},
+        9,
+        [
+            {"success": 1.0, "rounds": 167.0, "leaf_tx": 20.133333333333333},
+            {"success": 1.0, "rounds": 139.0, "leaf_tx": 15.633333333333333},
+            {"success": 1.0, "rounds": 155.0, "leaf_tx": 20.0},
+        ],
+    ),
+    (
+        "e13.geometric_comparison",
+        {"n": 64, "factor": 2.0, "topology": "geometric"},
+        11,
+        [
+            {
+                "algorithm1 (p_eff)/success": 0.0,
+                "algorithm1 (p_eff)/rounds": None,
+                "algorithm1 (p_eff)/mean_tx": 0.25,
+                "algorithm1 (p_eff)/max_tx": 1.0,
+                "algorithm3/success": 1.0,
+                "algorithm3/rounds": 9.0,
+                "algorithm3/mean_tx": 13.6875,
+                "algorithm3/max_tx": 22.0,
+                "decay/success": 1.0,
+                "decay/rounds": 30.0,
+                "decay/mean_tx": 2.09375,
+                "decay/max_tx": 12.0,
+            },
+            {
+                "algorithm1 (p_eff)/success": 1.0,
+                "algorithm1 (p_eff)/rounds": 14.0,
+                "algorithm1 (p_eff)/mean_tx": 0.25,
+                "algorithm1 (p_eff)/max_tx": 1.0,
+                "algorithm3/success": 1.0,
+                "algorithm3/rounds": 30.0,
+                "algorithm3/mean_tx": 13.75,
+                "algorithm3/max_tx": 20.0,
+                "decay/success": 1.0,
+                "decay/rounds": 65.0,
+                "decay/mean_tx": 8.390625,
+                "decay/max_tx": 17.0,
+            },
+        ],
+    ),
+    (
+        "e13.geometric_comparison",
+        {"n": 64, "factor": 1.5, "topology": "geometric-asymmetric"},
+        13,
+        [
+            {
+                "algorithm1 (p_eff)/success": 0.0,
+                "algorithm1 (p_eff)/rounds": None,
+                "algorithm1 (p_eff)/mean_tx": 0.28125,
+                "algorithm1 (p_eff)/max_tx": 1.0,
+                "algorithm3/success": 1.0,
+                "algorithm3/rounds": 25.0,
+                "algorithm3/mean_tx": 13.640625,
+                "algorithm3/max_tx": 22.0,
+                "decay/success": 1.0,
+                "decay/rounds": 40.0,
+                "decay/mean_tx": 3.875,
+                "decay/max_tx": 10.0,
+            },
+            {
+                "algorithm1 (p_eff)/success": 0.0,
+                "algorithm1 (p_eff)/rounds": None,
+                "algorithm1 (p_eff)/mean_tx": 0.1875,
+                "algorithm1 (p_eff)/max_tx": 1.0,
+                "algorithm3/success": 1.0,
+                "algorithm3/rounds": 24.0,
+                "algorithm3/mean_tx": 16.0,
+                "algorithm3/max_tx": 24.0,
+                "decay/success": 1.0,
+                "decay/rounds": 52.0,
+                "decay/mean_tx": 4.78125,
+                "decay/max_tx": 16.0,
+            },
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "probe, params, seed, expected",
+    _PROBE_PINS,
+    ids=[f"{case[0]}-{case[2]}" for case in _PROBE_PINS],
+)
+def test_probe_samples_pinned(probe, params, seed, expected):
+    all_experiments()  # registers every experiment module's probes
+    samples = list(get_probe(probe)(params, seed, len(expected)))
+    assert samples == expected

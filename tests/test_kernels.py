@@ -45,6 +45,7 @@ from repro.radio.collision import (
 )
 from repro.baselines.flooding import BatchBernoulliFlood
 
+from serial_reference import run_serial_reference
 from test_batch_engine import _assert_traces_identical
 from test_batch_engine import TestExactEquivalence as _Exact
 
@@ -406,8 +407,10 @@ class TestSharedBatchReuse:
             shards=4,
             batch_mode="exact",
         )
-        serial = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=8, seed=2, batch=False
+        serial = run_serial_reference(
+            build_repetition_plan(
+                self.GRAPH, self.PROTOCOL, repetitions=8, seed=2
+            ).jobs
         )
         _assert_traces_identical(serial, sharded, check_arrays=True)
 

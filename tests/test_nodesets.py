@@ -10,26 +10,26 @@ Three groups of guarantees:
    ``BATCH_PROTOCOL_FACTORIES``, an exact-mode batched run is bit-identical
    under ``dense``, ``bitset`` and ``sparse`` state backends (the case table
    is pinned to the registry so a new protocol cannot dodge the property).
-3. **Plumbing** — the ``state_backend`` knob flows through
-   ``ExecutionPlan`` / ``configure_execution`` / the CLI, and the plan-level
-   topology cache hands shards a shared network for deterministic families.
+3. **Topology cache** — the plan-level topology cache hands shards a shared
+   network for deterministic families.
 """
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser
+from repro._util.rng import spawn_generators
 from repro.experiments.protocols import (
     BATCH_PROTOCOL_FACTORIES,
     ProtocolSpec,
+    build_batch_protocol,
 )
 from repro.experiments.runner import (
     ExecutionPlan,
     Job,
-    configure_execution,
+    build_repetition_plan,
     repeat_job,
 )
-from repro.graphs.builders import GraphSpec, spec_is_deterministic
+from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
 from repro.radio.batch import BatchEngine
 from repro.radio.nodesets import (
     BitsetKnowledge,
@@ -48,6 +48,8 @@ from repro.radio.nodesets import (
     unpack_bool_rows,
     words_for,
 )
+
+from serial_reference import run_serial_reference
 
 
 class TestPackingPrimitives:
@@ -309,62 +311,25 @@ class TestCrossBackendBitExactness:
     @pytest.mark.parametrize("name", sorted(_CASES))
     def test_backends_bit_identical_in_exact_mode(self, name):
         params, graph_params, options = self._CASES[name]
-        graph = GraphSpec("gnp", graph_params)
         protocol = ProtocolSpec(name, params)
-        runs = {
-            backend: repeat_job(
-                graph,
-                protocol,
-                repetitions=3,
-                seed=23,
-                batch_mode="exact",
-                state_backend=backend,
-                **options,
-            )
-            for backend in ("dense", "bitset", "sparse")
-        }
+        jobs = build_repetition_plan(
+            GraphSpec("gnp", graph_params), protocol, repetitions=3, seed=23
+        ).jobs
+
+        def run(backend):
+            # The runner always picks the backend itself, so each one is
+            # pinned on the engine directly, with the runner's seed split.
+            networks, rngs = [], []
+            for job in jobs:
+                graph_rng, protocol_rng = spawn_generators(job.seed, 2)
+                networks.append(build_network(job.graph, rng=graph_rng))
+                rngs.append(protocol_rng)
+            engine = BatchEngine(state_backend=backend, **options)
+            return engine.run(networks, build_batch_protocol(protocol), rngs=rngs)
+
+        runs = {backend: run(backend) for backend in ("dense", "bitset", "sparse")}
         _assert_traces_identical(runs["dense"], runs["bitset"])
         _assert_traces_identical(runs["dense"], runs["sparse"])
-
-
-class TestExecutionPlumbing:
-    def test_plan_rejects_unknown_state_backend(self):
-        job = Job(
-            graph=GraphSpec("gnp", {"n": 16, "p": 0.2}),
-            protocol=ProtocolSpec("algorithm1", {"p": 0.2}),
-            seed=1,
-        )
-        with pytest.raises(ValueError, match="state_backend"):
-            ExecutionPlan(jobs=(job,), state_backend="packed")
-
-    def test_shards_carry_the_backend(self):
-        job = Job(
-            graph=GraphSpec("gnp", {"n": 16, "p": 0.2}),
-            protocol=ProtocolSpec("algorithm1", {"p": 0.2}),
-            seed=1,
-        )
-        plan = ExecutionPlan(jobs=(job, job), processes=2, state_backend="bitset")
-        assert all(s.state_backend == "bitset" for s in plan.shards())
-
-    def test_configure_execution_default_flows_through(self):
-        configure_execution(state_backend="sparse")
-        try:
-            runs = repeat_job(
-                GraphSpec("gnp", {"n": 48, "p": 0.2}),
-                ProtocolSpec("decay", {}),
-                repetitions=2,
-                seed=3,
-            )
-            assert len(runs) == 2 and all(r.completed for r in runs)
-        finally:
-            configure_execution(state_backend="auto")
-
-    def test_cli_parses_state_backend(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "E1", "--state-backend", "bitset"])
-        assert args.state_backend == "bitset"
-        args = parser.parse_args(["run", "E1"])
-        assert args.state_backend == "auto"
 
 
 class TestTopologyCache:
@@ -408,17 +373,16 @@ class TestTopologyCache:
     def test_cached_topology_matches_serial_results(self):
         graph = GraphSpec("path", {"n": 32})
         protocol = ProtocolSpec("decay", {})
-        serial = repeat_job(graph, protocol, repetitions=4, seed=7, batch=False)
-        batched = repeat_job(
-            graph, protocol, repetitions=4, seed=7, batch=True, batch_mode="exact"
+        serial = run_serial_reference(
+            build_repetition_plan(graph, protocol, repetitions=4, seed=7).jobs
         )
+        batched = repeat_job(graph, protocol, repetitions=4, seed=7, batch_mode="exact")
         _assert_traces_identical(serial, batched)
         sharded = repeat_job(
             graph,
             protocol,
             repetitions=4,
             seed=7,
-            batch=True,
             batch_mode="exact",
             processes=2,
         )

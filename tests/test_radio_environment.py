@@ -26,7 +26,7 @@ from repro.experiments.protocols import (
     PROTOCOL_FACTORIES,
     ProtocolSpec,
 )
-from repro.experiments.runner import Job, repeat_job
+from repro.experiments.runner import Job, build_repetition_plan, repeat_job
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import BatchEngine
@@ -44,6 +44,8 @@ from repro.radio.environment import (
 )
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, run_scenario
 from repro.store import ResultStore
+
+from serial_reference import run_serial_reference
 
 #: Minimal valid parameters per registered protocol (kept in sync with the
 #: equivalence suite in test_batch_engine.py).
@@ -322,8 +324,10 @@ class TestPipelineThreading:
             repetitions=4, seed=0, batch_mode="exact", environment=ENV,
             max_rounds=300,
         )
-        serial = repeat_job(GRAPH, PROTOCOL, batch=False, **kwargs)
-        batched = repeat_job(GRAPH, PROTOCOL, batch=True, **kwargs)
+        serial = run_serial_reference(
+            build_repetition_plan(GRAPH, PROTOCOL, **kwargs).jobs
+        )
+        batched = repeat_job(GRAPH, PROTOCOL, **kwargs)
         for s, b in zip(serial, batched):
             assert s.completed == b.completed
             assert s.completion_round == b.completion_round

@@ -74,6 +74,32 @@ class TestSweepCell:
                 protocol=ProtocolSpec("mystery", {}),
             )
 
+    def test_unknown_graph_family_fails_at_spec_time(self):
+        with pytest.raises(ValueError, match="unknown graph family 'gnpp'"):
+            SweepCell(
+                coords={"n": 8},
+                graph=GraphSpec("gnpp", {"n": 8, "p": 0.5}),
+                protocol=ProtocolSpec("decay", {}),
+            )
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            "loss=0.1",
+            {"name": "iid_loss", "params": {"p": 0.1}},
+            {"name": "mystery", "params": {}},
+        ],
+        ids=["cli-string", "unknown-param", "unknown-family"],
+    )
+    def test_bad_environment_fails_at_spec_time(self, environment):
+        with pytest.raises(ValueError, match=r"cell \[n=8\]: bad environment"):
+            SweepCell(
+                coords={"n": 8},
+                graph=GraphSpec("gnp", {"n": 8, "p": 0.5}),
+                protocol=ProtocolSpec("decay", {}),
+                job_options={"environment": environment},
+            )
+
     def test_roundtrip(self):
         cell = _jobs_cell(job_options={"run_to_quiescence": True}, seed=4)
         back = SweepCell.from_dict(json.loads(json.dumps(cell.as_dict())))

@@ -26,6 +26,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import (
     Job,
     aggregate_runs,
+    build_repetition_plan,
     configure_execution,
     job_store_key,
     repeat_job,
@@ -128,6 +129,33 @@ class TestKeys:
         relabelled = Job(graph=GRAPH, protocol=PROTOCOL, seed=5, label="b")
         context = {"batch_mode": "exact", "state_backend": "auto"}
         assert job_store_key(job, context) == job_store_key(relabelled, context)
+
+    @pytest.mark.parametrize(
+        "batch_mode, key",
+        [
+            (
+                "fast",
+                "48285557bb48bc5f3656174b6e1caa90981e5e144c86e7ac01e06875b0282411",
+            ),
+            (
+                "exact",
+                "2307fbd20682cc8e155875347ed5a5843bedf0ea368d3637738c86837b7ab077",
+            ),
+        ],
+        ids=["fast", "exact"],
+    )
+    def test_default_plan_keys_pinned(self, batch_mode, key):
+        """Store digests of default plans must not move unless
+        ``ENGINE_VERSION`` is bumped on purpose (this literal with it)."""
+        plan = build_repetition_plan(
+            GraphSpec("gnp", {"n": 64, "p": 0.1}),
+            ProtocolSpec("algorithm1", {"p": 0.1}),
+            repetitions=4,
+            seed=3,
+            batch_mode=batch_mode,
+            store=False,
+        )
+        assert plan.job_keys()[0] == key
 
 
 # --------------------------------------------------------------------------- #

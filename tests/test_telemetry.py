@@ -528,6 +528,33 @@ class TestCli:
         assert "trials=2" in report
         assert "store.puts: 2" in report
 
+    def test_reused_trace_path_holds_one_session(self, tmp_path, capsys):
+        """A second ``--telemetry PATH`` run replaces the first session's
+        records instead of appending to them (span ids restart at 0)."""
+        from repro.cli import main
+
+        from repro.scenarios import ScenarioSpec
+
+        spec = ScenarioSpec(
+            scenario_id="t",
+            grid=SweepGrid(cells=(_decay_cell(n=24, repetitions=2),)),
+            metrics=("success",),
+            seed=1,
+        )
+        grid_file = tmp_path / "g.json"
+        grid_file.write_text(json.dumps(spec.as_dict()))
+        trace = tmp_path / "tr.jsonl"
+        for _ in range(2):
+            assert main([
+                "sweep", "--grid", str(grid_file), "--no-cache",
+                "--telemetry", str(trace), "--no-progress",
+            ]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "summarize", str(trace), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["layers"]["sweep"]["spans"] == 1
+        assert summary["events"]["engine.run"] == 1
+
     def test_summarize_json_and_missing_file(self, tmp_path, capsys):
         from repro.cli import main
 
