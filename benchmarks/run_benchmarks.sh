@@ -29,6 +29,7 @@ python -m pytest -q \
     benchmarks/test_bench_telemetry.py \
     benchmarks/test_bench_store.py \
     benchmarks/test_bench_aggregation.py \
+    benchmarks/test_bench_topology.py \
     --benchmark-json="$RAW"
 
 python benchmarks/summarize_engine_bench.py "$RAW" "$OUT"

@@ -97,6 +97,11 @@ if __name__ == "__main__":
             speed += (
                 f"  uniform-cell ratio={extra['compaction_uniform_ratio']:.2f}x"
             )
+        if "topology_ms_per_graph" in extra:
+            speed += (
+                f"  topology={extra['topology_ms_per_graph']:.2f} ms/graph"
+                f" ({extra['topology_edges_per_s'] / 1e6:.1f}M edges/s)"
+            )
         if "warning" in entry:
             speed += f"  [WARNING: {entry['warning']}]"
         print(f"{name}: min={entry['min_seconds'] * 1e3:.1f} ms{speed}")

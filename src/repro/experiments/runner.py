@@ -38,6 +38,7 @@ planner.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -418,12 +419,40 @@ def _execute_batch_shard_traced(shard: _BatchShard):
     return results, captured.payload()
 
 
+class _TopologyTimer:
+    """Builds a shard's (or continuous run's) sampled topologies and, when
+    telemetry is on, sums their build seconds into one ``topology``
+    aggregate span carrying the ``graphs`` count (none when every trial
+    shares one prebuilt topology)."""
+
+    def __init__(self) -> None:
+        self.traced = telemetry.enabled()
+        self.seconds = 0.0
+        self.graphs = 0
+
+    def build(self, spec: GraphSpec, rng) -> RadioNetwork:
+        if not self.traced:
+            return build_network(spec, rng=rng)
+        start = time.perf_counter()
+        network = build_network(spec, rng=rng)
+        self.seconds += time.perf_counter() - start
+        self.graphs += 1
+        return network
+
+    def emit(self, spec: GraphSpec) -> None:
+        if self.traced and self.graphs:
+            telemetry.aggregate_span(
+                "topology", spec.family, self.seconds, graphs=self.graphs
+            )
+
+
 def _execute_batch_shard_impl(
     shard: _BatchShard, result_sink: Optional[_ResultSink] = None
 ) -> List[RunResultTrace]:
     jobs = shard.jobs
     template = jobs[0]
     collision_model = _batch_collision_model_for(template)
+    topology = _TopologyTimer()
 
     networks: Union[NetworkBatch, List[RadioNetwork]] = []
     protocol_rngs = []
@@ -435,8 +464,9 @@ def _execute_batch_shard_impl(
             if shard.shared_network is not None:
                 networks.append(shard.shared_network)
             else:
-                networks.append(build_network(job.graph, rng=graph_rng))
+                networks.append(topology.build(job.graph, graph_rng))
         protocol_rngs.append(protocol_rng)
+    topology.emit(template.graph)
     if shard.shared_batch is not None:
         networks = shard.shared_batch
 
@@ -689,6 +719,7 @@ class ExecutionPlan:
             environment=build_batch_environment(template.environment),
             kernel=self.kernel,
         )
+        topology = _TopologyTimer()
 
         def pending():
             for index, job in enumerate(jobs):
@@ -699,7 +730,7 @@ class ExecutionPlan:
                 network = (
                     shared_network
                     if shared_network is not None
-                    else build_network(job.graph, rng=graph_rng)
+                    else topology.build(job.graph, graph_rng)
                 )
                 yield PendingTrial(network, rng=protocol_rng, tag=index)
 
@@ -727,6 +758,7 @@ class ExecutionPlan:
                 max_rounds=template.max_rounds,
                 result_sink=consume,
             )
+            topology.emit(template.graph)
 
         # The single continuous task still goes through the queue so its
         # dispatch shows up in queue stats/labels like any shard would.

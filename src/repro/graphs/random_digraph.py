@@ -14,6 +14,7 @@ targets without replacement — O(m) work and memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro._util.rng import SeedLike, as_generator
 from repro._util.validation import check_positive_int, check_probability
-from repro.radio.network import RadioNetwork
+from repro.radio.network import RadioNetwork, csr_from_sorted_edges
 
 __all__ = [
     "random_digraph",
@@ -68,65 +69,102 @@ def random_digraph(
 
         return complete_network(n).with_name(name)
 
-    # Per-source binomial counts, then sample distinct targets per source —
-    # fully array-based: draw every edge's target uniformly at once and
-    # reject within-source duplicates until each source's draw is distinct.
+    # Per-source binomial counts, then distinct targets per source block, drawn
+    # by rejection; the final rejection sort is already the out-CSR order.
     counts = generator.binomial(n - 1, p, size=n)
+    targets = _sorted_distinct_targets(n, counts, generator)
     sources = np.repeat(np.arange(n, dtype=np.int64), counts)
-    targets = _distinct_targets(n, counts, sources, generator)
-    # Draws live in {0..n-2}; shift to skip the source itself.
-    targets = np.where(targets >= sources, targets + 1, targets)
-    edges = np.column_stack([sources, targets])
-    return RadioNetwork(n, edges, name=name)
+    # Draws live in {0..n-2}; shift to skip the source itself.  The shift is
+    # monotone within a source block, so the rows stay sorted.
+    targets += targets >= sources
+    return RadioNetwork._from_csr(n, *csr_from_sorted_edges(n, sources, targets), name=name)
 
 
 #: Rejection rounds before falling back to per-source distinct sampling.
 _MAX_REJECTION_ROUNDS = 64
 
 
-def _distinct_targets(
-    n: int, counts: np.ndarray, sources: np.ndarray, generator: np.random.Generator
+def _sorted_distinct_targets(
+    n: int, counts: np.ndarray, generator: np.random.Generator
 ) -> np.ndarray:
-    """Distinct values in ``{0..n-2}`` per source block, without Python loops.
+    """Distinct values in ``{0..n-2}`` per source block, each block ascending.
 
-    All edges draw uniformly in one vectorised call; within-source duplicates
-    (detected by one lexsort pass) are redrawn until none remain.  In the
+    Source ``u`` owns the block of ``counts[u]`` consecutive edge positions
+    starting at ``starts[u]``.  All edges draw uniformly in one vectorised
+    call; within-source duplicates are redrawn until none remain.  In the
     sparse regimes this repository simulates (``k_u ~ d << n``) the expected
     number of clashes is ``O(k² / n)`` per source, so the loop almost always
     finishes in one or two rounds.  Sources whose blocks still clash after
     ``_MAX_REJECTION_ROUNDS`` (only plausible for ``p`` near 1, where almost
     every slot is taken) fall back to ``generator.choice(..., replace=False)``
     for just those blocks.
+
+    Duplicates are found by sorting one unique int64 key per edge,
+
+        ``start·(n-1) + target·k + local``
+
+    for the edge at position ``start + local`` of a block of size ``k`` (see
+    :func:`_sort_blocks`).  Keys of a block fill ``[start·(n-1),
+    (start+k)·(n-1))``, so blocks never interleave and a block's sorted keys
+    land on its own positions; within a block they order by target, then
+    position.  That is exactly the stable argsort order of ``(source,
+    target)``, which fixes which copy of a duplicate is redrawn and in what
+    order the redraws consume the generator.  Keys stay below
+    ``total·(n-1)``, so int64 cannot overflow.  After the first pass only
+    blocks that were redrawn are sorted again: the others cannot have
+    gained a duplicate.
     """
     total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
     targets = generator.integers(0, n - 1, size=total)
-    if total == 0:
-        return targets
-
-    def duplicate_positions() -> np.ndarray:
-        # One sortable key per edge: (source, target) packed into an int64.
-        # A stable argsort of the packed key is several times faster than a
-        # two-key lexsort and groups within-source duplicates adjacently.
-        keys = sources * np.int64(n - 1) + targets
-        order = np.argsort(keys, kind="stable")
-        dup_sorted = np.zeros(total, dtype=bool)
-        keys_sorted = keys[order]
-        dup_sorted[1:] = keys_sorted[1:] == keys_sorted[:-1]
-        return order[dup_sorted]
-
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        redraw = duplicate_positions()
+    keys = np.empty(total, dtype=np.int64)
+    blocks = np.arange(n)
+    for rejection_round in itertools.count():
+        redraw = _sort_blocks(n, counts, starts, blocks, targets, keys)
         if redraw.size == 0:
-            return targets
-        targets[redraw] = generator.integers(0, n - 1, size=redraw.size)
-    # Fallback: per-source distinct sampling for the (rare) stubborn blocks.
-    block_ends = np.cumsum(counts)
-    for u in np.unique(sources[duplicate_positions()]):
-        k = int(counts[u])
-        targets[block_ends[u] - k : block_ends[u]] = generator.choice(
-            n - 1, size=k, replace=False
-        )
-    return targets
+            break
+        # The sources owning the redrawn positions.
+        blocks = np.unique(np.searchsorted(starts + counts, redraw, side="right"))
+        if rejection_round < _MAX_REJECTION_ROUNDS:
+            targets[redraw] = generator.integers(0, n - 1, size=redraw.size)
+            continue
+        # Fallback: per-source distinct sampling for the (rare) stubborn
+        # blocks; the next pass sorts them and finds no duplicate.
+        for u in blocks:
+            k = int(counts[u])
+            targets[starts[u] : starts[u] + k] = generator.choice(
+                n - 1, size=k, replace=False
+            )
+    # Decode the sorted keys in place: key - start·(n-1) = target·k + local.
+    del targets
+    keys -= np.repeat(starts * (n - 1), counts)
+    keys //= np.repeat(counts, counts)
+    return keys
+
+
+def _sort_blocks(n, counts, starts, blocks, targets, keys) -> np.ndarray:
+    """Sort the keys of the source ``blocks`` (ascending ids) into ``keys``.
+
+    Returns the positions of within-source duplicate targets: every copy
+    after the first, in sorted-key order.
+    """
+    sizes = counts[blocks]
+    size = np.repeat(sizes, sizes)
+    start = np.repeat(starts[blocks], sizes)
+    # Positions of the blocks' edges, ascending.
+    positions = start + np.arange(start.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # start·(n-1) + target·k + local, with local = position - start.
+    block_keys = start * (n - 2) + targets[positions] * size + positions
+    block_keys.sort()
+    keys[positions] = block_keys
+    del positions
+    # key - start·(n-1) = target·k + local; subtracting ``local`` leaves one
+    # value per (source, target) pair.
+    local = (block_keys - start * (n - 1)) % size
+    block_keys -= local
+    dup = np.flatnonzero(block_keys[1:] == block_keys[:-1]) + 1
+    return start[dup] + local[dup]
+
 
 
 def random_undirected_radio_network(

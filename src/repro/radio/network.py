@@ -65,7 +65,7 @@ class RadioNetwork:
         *,
         name: str = "",
     ):
-        self._n = check_positive_int(n, "n")
+        n = check_positive_int(n, "n")
         sources, targets = _coerce_edges(edges)
         if sources.size:
             if sources.min() < 0 or targets.min() < 0:
@@ -77,18 +77,44 @@ class RadioNetwork:
                 )
             if np.any(sources == targets):
                 raise ValueError("self-loops are not allowed in the radio model")
-            # Deduplicate: sort lexicographically by (source, target).
-            order = np.lexsort((targets, sources))
-            sources = sources[order]
-            targets = targets[order]
-            keep = np.ones(sources.size, dtype=bool)
-            keep[1:] = (sources[1:] != sources[:-1]) | (targets[1:] != targets[:-1])
-            sources = sources[keep]
-            targets = targets[keep]
+            # Deduplicate: one sort of the packed (source, target) key.
+            keys = sources * np.int64(n) + targets
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            sources, targets = np.divmod(keys, n)
+        self._adopt(n, *csr_from_sorted_edges(n, sources, targets), name)
 
-        self._out_indptr, self._out_indices = _build_csr(self._n, sources, targets)
-        self._in_indptr, self._in_indices = _build_csr(self._n, targets, sources)
-        for arr in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
+    @classmethod
+    def _from_csr(
+        cls, n: int, out_indptr, out_indices, in_indptr, in_indices, *, name: str = ""
+    ) -> "RadioNetwork":
+        """Internal, trusted constructor: wrap prebuilt CSR arrays as a network.
+
+        For builders that already hold both adjacencies in canonical form (see
+        :func:`csr_from_sorted_edges`); it skips the public constructor's
+        dedup and re-sort, and shares the arrays instead of copying them.
+        Callers are trusted to pass the in-CSR as the transpose of the
+        out-CSR; what is still checked, in O(n + m), is that each pair is a
+        well-formed CSR over ``0 .. n-1`` with ``int64`` row pointers and
+        ``int32`` indices, that both hold the same number of edges, that no
+        edge is a self-loop and that every row is strictly increasing (so
+        sorted and free of duplicate edges).
+        """
+        for indptr, indices in ((out_indptr, out_indices), (in_indptr, in_indices)):
+            _check_csr(n, indptr, indices)
+        if out_indices.size != in_indices.size:
+            raise ValueError("out- and in-CSR disagree on the edge count")
+        net = cls.__new__(cls)
+        net._adopt(n, out_indptr, out_indices, in_indptr, in_indices, name)
+        return net
+
+    def _adopt(self, n, out_indptr, out_indices, in_indptr, in_indices, name) -> None:
+        self._n = n
+        self._out_indptr = out_indptr
+        self._out_indices = out_indices
+        self._in_indptr = in_indptr
+        self._in_indices = in_indices
+        for arr in (out_indptr, out_indices, in_indptr, in_indices):
             arr.setflags(write=False)
         self._name = str(name)
 
@@ -199,14 +225,8 @@ class RadioNetwork:
 
     def with_name(self, name: str) -> "RadioNetwork":
         """Return a copy that carries ``name`` (the topology is shared-by-value)."""
-        net = RadioNetwork.__new__(RadioNetwork)
-        net._n = self._n
-        net._out_indptr = self._out_indptr
-        net._out_indices = self._out_indices
-        net._in_indptr = self._in_indptr
-        net._in_indices = self._in_indices
-        net._name = str(name)
-        return net
+        arrays = (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices)
+        return RadioNetwork._from_csr(self._n, *arrays, name=name)
 
     # ------------------------------------------------------------------ #
     # Interop
@@ -290,14 +310,51 @@ def _looks_like_pair(edges: tuple) -> bool:
     return all(isinstance(x, (int, np.integer)) for x in edges)
 
 
-def _build_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Build CSR (indptr, indices) with indices sorted within each row."""
-    counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=np.int64)
+def csr_from_sorted_edges(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both CSR adjacencies ``(out_indptr, out_indices, in_indptr, in_indices)``
+    of distinct edges already sorted by ``(source, target)``.
+
+    The sorted order is the out-CSR as it stands; the in-CSR takes one sort
+    of the packed ``target * n + source`` keys.  Row pointers are ``int64``,
+    indices ``int32``, and every row's indices ascend.
+    """
+    out_indptr = _indptr(n, sources)
+    keys = targets * np.int64(n)
+    keys += sources
+    keys.sort()
+    keys %= n
+    return out_indptr, targets.astype(np.int32), _indptr(n, targets), keys.astype(np.int32)
+
+
+def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if rows.size:
-        order = np.lexsort((cols, rows))
-        indices = cols[order].astype(np.int32, copy=True)
-    else:
-        indices = np.empty(0, dtype=np.int32)
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _check_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``(indptr, indices)`` is a well-formed CSR
+    over ``0 .. n-1`` without self-loops and with strictly increasing rows."""
+    if indptr.dtype != np.int64 or indices.dtype != np.int32:
+        raise ValueError(
+            f"CSR dtypes must be int64/int32, got {indptr.dtype}/{indices.dtype}"
+        )
+    if indptr.shape != (n + 1,) or indices.ndim != 1:
+        raise ValueError(f"CSR shape mismatch for n={n}")
+    degrees = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(degrees < 0):
+        raise ValueError("CSR row pointer must rise from 0 to the edge count")
+    if indices.size == 0:
+        return
+    if indices.min() < 0 or indices.max() >= n:
+        raise ValueError(f"edge endpoint out of range for n={n}")
+    if np.any(np.repeat(np.arange(n, dtype=np.int32), degrees) == indices):
+        raise ValueError("self-loops are not allowed in the radio model")
+    # Comparisons across a row boundary (into a non-empty row) don't count.
+    row_starts = indptr[1:-1]
+    rising = indices[1:] > indices[:-1]
+    rising[row_starts[(degrees[1:] > 0) & (row_starts > 0)] - 1] = True
+    if not rising.all():
+        raise ValueError("CSR rows must be strictly increasing (sorted, no duplicates)")

@@ -1,16 +1,73 @@
 """Tests for the random-digraph generators."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.common import dense_p, sparse_p, threshold_p
 from repro.graphs.properties import is_strongly_connected
 from repro.graphs.random_digraph import (
+    _sort_blocks,
     connectivity_threshold_probability,
     random_digraph,
     random_undirected_radio_network,
 )
+from repro.radio.network import RadioNetwork
+
+_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _pin_cases(n):
+    """The ``(p, seed)`` grid pinned for ``n``: threshold, sparse, dense and
+    sub-critical regimes, plus p = 0.5 and the ``p >= 0.97`` rows that run
+    the rejection loop into its ``generator.choice`` fallback."""
+    ps = [threshold_p(n), sparse_p(n), dense_p(n), min(1.0, 1.5 / n)]
+    if n <= 512:
+        ps.append(0.5)
+    if n <= 300:
+        ps += [0.97, 0.99]
+    seeds = (0, 1, 2) if n <= 512 else (0,)
+    return [(p, seed) for p in sorted(set(ps)) for seed in seeds]
+
+
+def _csr_digest(n):
+    """sha256 over dtype and bytes of all four CSR arrays of every pinned case."""
+    digest = hashlib.sha256()
+    for p, seed in _pin_cases(n):
+        net = random_digraph(n, p, rng=seed)
+        for arr in (net.out_indptr, net.out_indices, net.in_indptr, net.in_indices):
+            digest.update(str(arr.dtype).encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+#: ``_csr_digest(n)`` as produced by the lexsort-based sampler this one
+#: replaced; any change to the drawn graphs shows here.
+_CSR_PINS = {
+    2: "233cf4939a1a318b75883ff0a6457af61721440b42bed0db4786cbe05a51b034",
+    5: "8109e8facc0a42df5feaa84c19f8fa88fb8e53e18bf888b79e6895c8210a26f8",
+    16: "2b3d170d88ffd0fb67aafbb8ae74c77776232f5228d747ea101ecadf9cad0932",
+    64: "531aa7bd0540e32c2aee713c8fd85c0b9277e4a609b6b8090cb9ba2ce1e68fc1",
+    300: "3ff288d3c8908f2c7aa2aca9c351e55e734727fee2e1b9e25006e54b4ad01abc",
+    512: "8b2de1d78ecb5ae5211c0dcec8c0d4600868a498e0fdda1e08ee8538f53d7717",
+    1024: "c0d32da5c340bfc60362373503329a2ab69a36e2833e02b0127862af7ef0f4a3",
+    2048: "a4da6c812e19d46f395fd069c4e7ebf74ec10d549d7986dce580c1a8cf43a8c4",
+    4096: "4c79acd4e5420798577fc04bcf1c8301df9cf4d61207cce6728c093933171275",
+}
+
+#: tracemalloc peak, in bytes, of one ``random_digraph(2048, dense_p(2048),
+#: rng=3)`` after a warm-up call, as measured for the sampler this one
+#: replaced (about 22.5 MiB; about 290k edges).
+_PEAK_BYTES_BOUND = 23_581_577
 
 
 class TestRandomDigraph:
@@ -65,6 +122,62 @@ class TestRandomDigraph:
         p = connectivity_threshold_probability(n, delta=4.0)
         net = random_digraph(n, p, rng=11)
         assert is_strongly_connected(net)
+
+
+class TestSortOnceSampler:
+    @pytest.mark.parametrize("n", sorted(_CSR_PINS))
+    def test_csr_arrays_pinned(self, n):
+        assert _csr_digest(n) == _CSR_PINS[n]
+
+    @_SETTINGS
+    @given(
+        n=st.integers(min_value=1, max_value=80),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_public_constructor(self, n, p, seed):
+        net = random_digraph(n, p, rng=seed)
+        rebuilt = RadioNetwork(n, net.edge_list())
+        for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+            got, want = getattr(net, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @_SETTINGS
+    @given(data=st.data(), n=st.integers(min_value=2, max_value=40))
+    def test_composite_key_order_is_stable_argsort(self, data, n):
+        counts = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        total = int(counts.sum())
+        targets = np.array(
+            data.draw(st.lists(st.integers(0, n - 2), min_size=total, max_size=total)),
+            dtype=np.int64,
+        )
+        starts = np.cumsum(counts) - counts
+        keys = np.empty(total, dtype=np.int64)
+        redraw = _sort_blocks(n, counts, starts, np.arange(n), targets, keys)
+
+        sources = np.repeat(np.arange(n, dtype=np.int64), counts)
+        order = np.argsort(sources * (n - 1) + targets, kind="stable")
+        assert np.all(np.diff(keys) > 0)
+        start = np.repeat(starts, counts)
+        decoded = start + (keys - start * (n - 1)) % np.repeat(counts, counts)
+        np.testing.assert_array_equal(decoded, order)
+        pairs = (sources * (n - 1) + targets)[order]
+        np.testing.assert_array_equal(redraw, order[1:][pairs[1:] == pairs[:-1]])
+
+    def test_peak_memory_bounded(self):
+        p = dense_p(2048)
+        random_digraph(2048, p, rng=3)
+        tracemalloc.start()
+        try:
+            random_digraph(2048, p, rng=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _PEAK_BYTES_BOUND
 
 
 class TestRandomUndirected:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.radio.network import RadioNetwork
+from repro.radio.network import RadioNetwork, csr_from_sorted_edges
 
 
 class TestConstruction:
@@ -94,6 +94,7 @@ class TestTransforms:
         renamed = tiny_network.with_name("other")
         assert renamed.name == "other"
         assert renamed == tiny_network  # topology equality ignores name
+        assert renamed.in_indices is tiny_network.in_indices
 
     def test_empty_symmetric(self):
         assert RadioNetwork(3, []).is_symmetric()
@@ -122,6 +123,70 @@ class TestInterop:
         net = RadioNetwork.from_networkx(g)
         assert net.n == 2
         assert net.num_edges == 1
+
+
+def _csr(n, edges):
+    """Both CSRs of ``edges`` as ``csr_from_sorted_edges`` builds them,
+    without the sorting or validation the public constructor does."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return csr_from_sorted_edges(n, arr[:, 0], arr[:, 1])
+
+
+class TestFromCsr:
+    def test_round_trips_public_constructor(self, tiny_network):
+        net = RadioNetwork._from_csr(
+            5, *_csr(5, tiny_network.edge_list()), name="tiny"
+        )
+        assert net == tiny_network and net.name == "tiny"
+        np.testing.assert_array_equal(net.in_indptr, tiny_network.in_indptr)
+        np.testing.assert_array_equal(net.in_indices, tiny_network.in_indices)
+        with pytest.raises(ValueError):
+            net.in_indices[0] = 1
+
+    def test_empty(self):
+        assert RadioNetwork._from_csr(3, *_csr(3, [])).num_edges == 0
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2)], "self-loops"),
+            ([(0, 1), (0, 1), (1, 2)], "strictly increasing"),
+            ([(0, 2), (0, 1), (1, 2)], "strictly increasing"),
+        ],
+        ids=["self-loop", "duplicate", "unsorted-row"],
+    )
+    def test_rejects(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            RadioNetwork._from_csr(3, *_csr(3, edges))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_rejects_out_of_range_endpoint(self, bad):
+        out_indptr, out_indices, in_indptr, in_indices = _csr(3, [(0, 1), (1, 2)])
+        out_indices = np.array([1, bad], dtype=np.int32)
+        with pytest.raises(ValueError, match="out of range"):
+            RadioNetwork._from_csr(3, out_indptr, out_indices, in_indptr, in_indices)
+
+    def test_rejects_malformed_row_pointer(self):
+        out_indptr, out_indices, in_indptr, in_indices = _csr(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="row pointer"):
+            RadioNetwork._from_csr(
+                3, np.array([0, 2, 1, 2]), out_indices, in_indptr, in_indices
+            )
+        with pytest.raises(ValueError, match="dtypes"):
+            RadioNetwork._from_csr(
+                3, out_indptr, out_indices.astype(np.int64), in_indptr, in_indices
+            )
+
+    def test_rejects_edge_count_mismatch(self):
+        out = _csr(3, [(0, 1), (1, 2)])
+        inn = _csr(3, [(0, 1)])
+        with pytest.raises(ValueError, match="edge count"):
+            RadioNetwork._from_csr(3, out[0], out[1], inn[2], inn[3])
+
+    def test_row_boundaries_may_descend(self):
+        # Row 0 ends at 2, row 1 starts at 0; empty leading/trailing rows.
+        net = RadioNetwork._from_csr(4, *_csr(4, [(1, 2), (1, 3), (2, 0)]))
+        assert net.num_edges == 3 and net.has_edge(2, 0)
 
 
 class TestDunder:

@@ -269,6 +269,26 @@ class TestGridSpans:
         counters = telemetry.current_registry().snapshot()["counters"]
         assert counters["engine.trials"] == 16
 
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_topology_span_counts_every_sampled_graph(self, batch_mode):
+        # fast runs batch shards, exact in-process runs the continuous loop:
+        # each emits one topology span per shard / run.
+        sink = _memory_pipeline()
+        grid = SweepGrid(
+            cells=(_decay_cell(n=24, repetitions=3), _decay_cell(n=32))
+        )
+        run_grid(grid, seed=3, store=False, batch_mode=batch_mode)
+        summary = self._fold(sink)
+        topology = [
+            info for info in summary["spans"].values()
+            if info["layer"] == "topology"
+        ]
+        assert len(topology) == 2
+        assert sum(info["attrs"]["graphs"] for info in topology) == 7
+        for info in topology:
+            assert info["name"] == "gnp" and info["seconds"] > 0
+            assert summary["spans"][info["parent"]]["layer"] == "shard"
+
     def test_cell_span_annotated_with_counts(self):
         sink = _memory_pipeline()
         run_grid(SweepGrid(cells=(_decay_cell(),)), seed=1, store=False)
@@ -525,6 +545,7 @@ class TestCli:
         assert code == 0
         report = capsys.readouterr().out
         assert "sweep" in report and "cell" in report and "shard" in report
+        assert "topology" in report
         assert "trials=2" in report
         assert "store.puts: 2" in report
 
