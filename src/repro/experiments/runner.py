@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,7 +63,7 @@ from repro.radio.collision import (
 )
 from repro.radio.environment import build_batch_environment, validate_environment_spec
 from repro.radio.trace import RunResultTrace
-from repro.store import ResultStore, canonicalize, trial_digest
+from repro.store import ResultStore, canonical_dumps, canonicalize, trial_digest
 
 __all__ = [
     "Job",
@@ -380,6 +382,12 @@ class _BatchShard:
     #: Telemetry/diagnostic name (``shard[k]:<cell digest prefix>``) set by
     #: the plan; doubles as the queue task label and the shard span name.
     label: str = ""
+    #: The sweep's :class:`_TopologyMemo` for this shard's spec.  Only set
+    #: for shards that run in process: sampled networks are never pickled
+    #: to workers.
+    topology_memo: Optional[_TopologyMemo] = field(
+        default=None, compare=False
+    )
 
 
 def _execute_batch_shard(
@@ -419,30 +427,119 @@ def _execute_batch_shard_traced(shard: _BatchShard):
     return results, captured.payload()
 
 
-class _TopologyTimer:
-    """Builds a shard's (or continuous run's) sampled topologies and, when
-    telemetry is on, sums their build seconds into one ``topology``
-    aggregate span carrying the ``graphs`` count (none when every trial
-    shares one prebuilt topology)."""
+#: Byte budget of one :class:`_TopologyMemo` (CSR arrays of its retained
+#: networks).  Past it, later samples are not retained and the cells that
+#: need them resample: a 10⁵-trial sweep stays memory-flat in the trial
+#: count even when two of its cells share a spec.
+_TOPOLOGY_MEMO_BYTES = 1 << 26
 
-    def __init__(self) -> None:
+
+class _TopologyMemo:
+    """The sampled networks of one (spec, cell seed) that several cells of
+    a sweep use, by job seed.
+
+    A sampled graph is a pure function of its spec and job seed (the graph
+    stream is ``spawn_generators(job.seed, 2)[0]``), so a trial whose
+    graph is already here reuses that read-only network instead of
+    resampling it.  :func:`repro.scenarios.runtime.run_grid` creates one
+    per shared (spec, cell seed), installs it in :data:`_TOPOLOGY_MEMO`
+    while each of those cells runs, and drops it after the last one.
+    """
+
+    __slots__ = ("spec_key", "networks", "nbytes")
+
+    def __init__(self, spec_key: str) -> None:
+        #: ``canonical_dumps`` of the spec — the store's canonical form, so
+        #: the memo never shares what the store would keep apart.
+        self.spec_key = spec_key
+        self.networks: Dict[int, RadioNetwork] = {}
+        self.nbytes = 0
+
+    def add(self, seed: int, network: RadioNetwork) -> None:
+        if self.nbytes >= _TOPOLOGY_MEMO_BYTES:
+            return
+        self.networks[seed] = network
+        self.nbytes += sum(
+            array.nbytes
+            for array in (
+                network.out_indptr,
+                network.out_indices,
+                network.in_indptr,
+                network.in_indices,
+            )
+        )
+
+
+#: The :class:`_TopologyMemo` of the cell being run, or ``None``.  The
+#: plan reads it in the calling process only, so process fan-out workers
+#: never see it: they resample, with identical results.
+_TOPOLOGY_MEMO: ContextVar[Optional[_TopologyMemo]] = ContextVar(
+    "topology_memo", default=None
+)
+
+
+@contextmanager
+def _sharing_topologies(memo: _TopologyMemo):
+    """Install ``memo`` in :data:`_TOPOLOGY_MEMO` while the body runs."""
+    token = _TOPOLOGY_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _TOPOLOGY_MEMO.reset(token)
+
+
+def _memo_for(spec: GraphSpec) -> Optional[_TopologyMemo]:
+    """The installed memo, if it holds ``spec``'s graphs."""
+    memo = _TOPOLOGY_MEMO.get()
+    if memo is None or memo.spec_key != canonical_dumps(spec.as_dict()):
+        return None
+    return memo
+
+
+class _TopologyTimer:
+    """Builds a shard's (or continuous run's) sampled topologies.
+
+    ``memo`` is the sweep's :class:`_TopologyMemo` of the spec, if any: a
+    job whose seed is in it reuses that network, and every graph built
+    here is offered to it.  When telemetry is
+    on, the build seconds are summed into one ``topology`` aggregate span
+    carrying the ``graphs`` actually sampled and the ``reused`` count (no
+    span when every trial shares one prebuilt deterministic topology).
+    """
+
+    def __init__(self, memo: Optional[_TopologyMemo] = None) -> None:
+        self.memo = memo
         self.traced = telemetry.enabled()
         self.seconds = 0.0
         self.graphs = 0
+        self.reused = 0
 
-    def build(self, spec: GraphSpec, rng) -> RadioNetwork:
-        if not self.traced:
-            return build_network(spec, rng=rng)
-        start = time.perf_counter()
-        network = build_network(spec, rng=rng)
-        self.seconds += time.perf_counter() - start
-        self.graphs += 1
+    def build(self, job: Job, rng) -> RadioNetwork:
+        memo = self.memo
+        if memo is not None:
+            network = memo.networks.get(job.seed)
+            if network is not None:
+                self.reused += 1
+                return network
+        if self.traced:
+            start = time.perf_counter()
+            network = build_network(job.graph, rng=rng)
+            self.seconds += time.perf_counter() - start
+            self.graphs += 1
+        else:
+            network = build_network(job.graph, rng=rng)
+        if memo is not None:
+            memo.add(job.seed, network)
         return network
 
     def emit(self, spec: GraphSpec) -> None:
-        if self.traced and self.graphs:
+        if self.traced and (self.graphs or self.reused):
             telemetry.aggregate_span(
-                "topology", spec.family, self.seconds, graphs=self.graphs
+                "topology",
+                spec.family,
+                self.seconds,
+                graphs=self.graphs,
+                reused=self.reused,
             )
 
 
@@ -452,7 +549,7 @@ def _execute_batch_shard_impl(
     jobs = shard.jobs
     template = jobs[0]
     collision_model = _batch_collision_model_for(template)
-    topology = _TopologyTimer()
+    topology = _TopologyTimer(shard.topology_memo)
 
     networks: Union[NetworkBatch, List[RadioNetwork]] = []
     protocol_rngs = []
@@ -464,7 +561,7 @@ def _execute_batch_shard_impl(
             if shard.shared_network is not None:
                 networks.append(shard.shared_network)
             else:
-                networks.append(topology.build(job.graph, graph_rng))
+                networks.append(topology.build(job, graph_rng))
         protocol_rngs.append(protocol_rng)
     topology.emit(template.graph)
     if shard.shared_batch is not None:
@@ -549,7 +646,10 @@ class ExecutionPlan:
     Deterministic graph families (paths, grids, the lower-bound gadgets …)
     sample to the same network under every seed, so the plan builds that
     topology **once** and hands every shard a shared view instead of
-    rebuilding it per job; random families keep their per-trial samples.
+    rebuilding it per job; random families keep their per-trial samples,
+    except that an in-process plan run by
+    :func:`~repro.scenarios.runtime.run_grid` reuses the samples other
+    cells of the grid already drew (see :data:`_TOPOLOGY_MEMO`).
 
     ``store`` attaches a content-addressed result store: cached trials are
     returned without touching the engine, missing trials are executed and
@@ -669,6 +769,11 @@ class ExecutionPlan:
                 if bounds[k] < bounds[k + 1]
             }:
                 shared_batches[size] = NetworkBatch.shared(shared_network, size)
+        memo = (
+            _memo_for(jobs[0].graph)
+            if shared_network is None and self._runs_in_process()
+            else None
+        )
         return [
             _BatchShard(
                 jobs=jobs[bounds[k] : bounds[k + 1]],
@@ -677,6 +782,7 @@ class ExecutionPlan:
                 kernel=self.kernel,
                 shared_network=shared_network,
                 shared_batch=shared_batches.get(int(bounds[k + 1] - bounds[k])),
+                topology_memo=memo,
             )
             for k in range(count)
             if bounds[k] < bounds[k + 1]
@@ -719,7 +825,9 @@ class ExecutionPlan:
             environment=build_batch_environment(template.environment),
             kernel=self.kernel,
         )
-        topology = _TopologyTimer()
+        topology = _TopologyTimer(
+            _memo_for(template.graph) if shared_network is None else None
+        )
 
         def pending():
             for index, job in enumerate(jobs):
@@ -730,7 +838,7 @@ class ExecutionPlan:
                 network = (
                     shared_network
                     if shared_network is not None
-                    else topology.build(job.graph, graph_rng)
+                    else topology.build(job, graph_rng)
                 )
                 yield PendingTrial(network, rng=protocol_rng, tag=index)
 

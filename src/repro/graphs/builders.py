@@ -8,6 +8,7 @@ can be written as plain data (and serialised into results files), and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -55,43 +56,35 @@ class GraphSpec:
         return cls(family=payload["family"], params=dict(payload.get("params", {})))
 
 
-def _build_gnp(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return random_digraph(rng=rng, **params)
+def _seeded(generator):
+    """Adapt a random family's generator to the ``build(rng=..., **params)``
+    builder convention.  ``functools.wraps`` keeps the generator's
+    signature visible to :func:`inspect.signature`, which is what lets a
+    sweep cell check its ``GraphSpec`` parameters before anything runs."""
 
-
-def _build_gnp_undirected(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return random_undirected_radio_network(rng=rng, **params)
-
-
-def _build_geometric(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return geometric.geometric_digraph(rng=rng, **params)
-
-
-def _build_geometric_hetero(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return geometric.heterogeneous_geometric_digraph(rng=rng, **params)
-
-
-def _build_observation43(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return observation43_network(**params)
-
-
-def _build_theorem44(*, rng: SeedLike = None, **params) -> RadioNetwork:
-    return theorem44_network(**params)
-
-
-def _structural(builder):
+    @functools.wraps(generator)
     def build(*, rng: SeedLike = None, **params) -> RadioNetwork:
-        return builder(**params)
+        return generator(rng=rng, **params)
+
+    return build
+
+
+def _structural(generator):
+    """Like :func:`_seeded`, for generators that take no rng."""
+
+    @functools.wraps(generator)
+    def build(*, rng: SeedLike = None, **params) -> RadioNetwork:
+        return generator(**params)
 
     return build
 
 
 #: Registry mapping family name to builder callable.
 FAMILIES = {
-    "gnp": _build_gnp,
-    "gnp_undirected": _build_gnp_undirected,
-    "geometric": _build_geometric,
-    "geometric_hetero": _build_geometric_hetero,
+    "gnp": _seeded(random_digraph),
+    "gnp_undirected": _seeded(random_undirected_radio_network),
+    "geometric": _seeded(geometric.geometric_digraph),
+    "geometric_hetero": _seeded(geometric.heterogeneous_geometric_digraph),
     "path": _structural(structured.path_network),
     "cycle": _structural(structured.cycle_network),
     "star": _structural(structured.star_network),
@@ -99,8 +92,8 @@ FAMILIES = {
     "grid": _structural(structured.grid_network),
     "path_of_cliques": _structural(structured.path_of_cliques),
     "caterpillar": _structural(structured.layered_caterpillar),
-    "observation43": _build_observation43,
-    "theorem44": _build_theorem44,
+    "observation43": _structural(observation43_network),
+    "theorem44": _structural(theorem44_network),
 }
 
 

@@ -56,6 +56,8 @@ class RadioNetwork:
         "_in_indptr",
         "_in_indices",
         "_name",
+        # Lets a sweep test that a shared sample is released on time.
+        "__weakref__",
     )
 
     def __init__(

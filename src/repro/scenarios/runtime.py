@@ -26,17 +26,24 @@ so partial fast-mode checkpoints are discarded rather than extended.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis.statistics import SummaryStatistics
 from repro.analysis.streaming import AccumulatorSet
-from repro.experiments.runner import _resolve_store, build_repetition_plan
+from repro.experiments.runner import (
+    _resolve_store,
+    _sharing_topologies,
+    _TopologyMemo,
+    build_repetition_plan,
+)
+from repro.graphs.builders import spec_is_deterministic
 from repro.scenarios.metrics import extract_sample, resolve_metrics
 from repro.scenarios.probes import get_probe
 from repro.scenarios.spec import ScenarioSpec, SweepCell, SweepGrid
-from repro.store import trial_digest
+from repro.store import canonical_dumps, trial_digest
 
 __all__ = [
     "CellResult",
@@ -483,6 +490,16 @@ def _run_probe_cell(
 # --------------------------------------------------------------------------- #
 # Grid / scenario execution
 # --------------------------------------------------------------------------- #
+def _topology_share_key(cell: SweepCell, seed: int) -> Optional[Tuple[str, int]]:
+    """``(canonical GraphSpec, cell seed)`` of a jobs cell on a random
+    family — equal keys mean equal per-trial graph samples, because trial
+    ``i``'s job seed is spawned from the cell seed alone — else ``None``."""
+    if cell.kind != "jobs" or spec_is_deterministic(cell.graph):
+        return None
+    cell_seed = cell.seed if cell.seed is not None else seed
+    return canonical_dumps(cell.graph.as_dict()), cell_seed
+
+
 def run_grid(
     grid: SweepGrid,
     *,
@@ -498,27 +515,55 @@ def run_grid(
 ) -> List[CellResult]:
     """Execute every cell of ``grid`` in order (streaming reduction each).
 
+    Cells with an equal random ``GraphSpec`` and an equal cell seed already
+    run on common random graphs: trial ``i`` of each samples the same
+    network.  The grid samples each such graph once: it keeps a
+    :class:`~repro.experiments.runner._TopologyMemo` of the networks of
+    every (spec, seed) that two or more cells use, drops it after the last
+    cell that uses it, and drops them all when the grid returns or raises.
+    Sharing changes no result and no store digest.  It is in-process only:
+    cells fanned out to worker processes (``processes=K``) resample their
+    graphs.
+
     With telemetry enabled the whole grid runs under one ``sweep`` span
     (named ``telemetry_label`` or the grid's content digest) so per-cell
     and per-shard spans nest under it in the trace.
     """
     cells = list(grid)
+    share_keys = [_topology_share_key(cell, seed) for cell in cells]
+    uses = Counter(key for key in share_keys if key is not None)
+    last_use = {key: index for index, key in enumerate(share_keys)}
+    memos: Dict[Tuple[str, int], _TopologyMemo] = {}
+
+    def run_one(cell: SweepCell) -> CellResult:
+        return run_cell(
+            cell,
+            seed=seed,
+            metrics=metrics,
+            processes=processes,
+            store=store,
+            batch_mode=batch_mode,
+            kernel=kernel,
+            shards=shards,
+            sketch_capacity=sketch_capacity,
+        )
 
     def run_all() -> List[CellResult]:
-        return [
-            run_cell(
-                cell,
-                seed=seed,
-                metrics=metrics,
-                processes=processes,
-                store=store,
-                batch_mode=batch_mode,
-                kernel=kernel,
-                shards=shards,
-                sketch_capacity=sketch_capacity,
-            )
-            for cell in cells
-        ]
+        results = []
+        try:
+            for index, (cell, key) in enumerate(zip(cells, share_keys)):
+                if key is None or uses[key] < 2:
+                    results.append(run_one(cell))
+                    continue
+                if key not in memos:
+                    memos[key] = _TopologyMemo(key[0])
+                with _sharing_topologies(memos[key]):
+                    results.append(run_one(cell))
+                if last_use[key] == index:
+                    del memos[key]
+        finally:
+            memos.clear()
+        return results
 
     if not telemetry.enabled():
         return run_all()

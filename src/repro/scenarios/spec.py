@@ -113,13 +113,23 @@ class SweepCell:
             object.__setattr__(self, "metrics", tuple(self.metrics))
 
     def _check_graph_family(self) -> None:
+        """Fail at spec time, not when the cell runs, on an unknown family
+        or parameters that do not fit the family generator's signature."""
         family = self.graph.family
-        if family not in FAMILIES:
+        builder = FAMILIES.get(family)
+        if builder is None:
             known = ", ".join(sorted(FAMILIES))
             raise ValueError(
                 f"cell {self.label()}: unknown graph family {family!r}; "
                 f"known families: {known}"
             )
+        try:
+            inspect.signature(builder).bind(**self.graph.params)
+        except TypeError as exc:
+            raise ValueError(
+                f"cell {self.label()}: bad parameters for graph family "
+                f"{family!r}: {exc}"
+            ) from None
 
     def _check_environment(self) -> None:
         if "environment" not in self.job_options:

@@ -40,6 +40,11 @@ def load_trace(path: os.PathLike | str) -> List[Dict[str, Any]]:
     return records
 
 
+#: Integer span attributes summed into their layer's totals besides
+#: ``trials``: the ``topology`` spans' sampled and memo-reused graph counts.
+_LAYER_COUNTS = ("graphs", "reused")
+
+
 def _span_trials(attrs: Dict[str, Any]) -> Optional[int]:
     trials = attrs.get("trials")
     return trials if isinstance(trials, int) else None
@@ -50,7 +55,9 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     Returns ``{"layers", "events", "spans", "roots", "metrics",
     "record_count"}`` where ``layers`` maps layer name →
-    ``{"spans", "seconds", "trials"}`` (in first-seen order),
+    ``{"spans", "seconds", "trials"}`` (in first-seen order, plus the
+    summed ``graphs`` / ``reused`` counts of layers whose spans carry
+    them),
     ``spans`` maps span id → merged span info, and ``roots`` lists
     parentless span ids in trace order.
     """
@@ -123,6 +130,10 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         trials = _span_trials(info["attrs"])
         if trials is not None:
             layer["trials"] += trials
+        for key in _LAYER_COUNTS:
+            value = info["attrs"].get(key)
+            if isinstance(value, int):
+                layer[key] = layer.get(key, 0) + value
 
     return {
         "layers": layers,
@@ -181,9 +192,12 @@ def render_summary(summary: Dict[str, Any], *, tree: bool = True) -> str:
             if layer["trials"] and seconds > 0:
                 rate = f"  ({layer['trials'] / seconds:,.0f} trials/s)"
             trials = f"  trials={layer['trials']}" if layer["trials"] else ""
+            counts = "".join(
+                f"  {key}={layer[key]}" for key in _LAYER_COUNTS if key in layer
+            )
             lines.append(
                 f"  {name:<{width}}  spans={layer['spans']:<5d} "
-                f"time={_format_seconds(seconds):>9}{trials}{rate}"
+                f"time={_format_seconds(seconds):>9}{trials}{rate}{counts}"
             )
     else:
         lines.append("  (no spans)")

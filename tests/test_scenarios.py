@@ -83,6 +83,43 @@ class TestSweepCell:
             )
 
     @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (GraphSpec("gnp", {"n": 64}), "missing a required argument: 'p'"),
+            (GraphSpec("gnp", {"n": 64, "q": 0.1, "p": 0.1}), "'q'"),
+            (GraphSpec("path_of_cliques", {"num_cliques": 4}), "'clique_size'"),
+            (GraphSpec("grid", {"rows": 3, "colums": 4}), "'colums'"),
+        ],
+        ids=["gnp-missing", "gnp-unknown", "cliques-missing", "grid-typo"],
+    )
+    def test_bad_graph_params_fail_at_spec_time(self, graph, message):
+        # Without the check the typo surfaced only when the cell ran, after
+        # every earlier cell of the grid had already computed.
+        with pytest.raises(
+            ValueError,
+            match=rf"cell \[n=64\]: bad parameters for graph family .*{message}",
+        ):
+            SweepGrid(
+                (
+                    _jobs_cell(),
+                    SweepCell(
+                        coords={"n": 64},
+                        graph=graph,
+                        protocol=ProtocolSpec("decay", {}),
+                    ),
+                )
+            )
+
+    def test_good_graph_params_pass(self):
+        for graph in (
+            GraphSpec("gnp", {"n": 8, "p": 0.5}),
+            GraphSpec("geometric", {"n": 8, "radius": 0.5}),
+            GraphSpec("grid", {"rows": 3}),
+            GraphSpec("theorem44", {"n": 16, "diameter": 12}),
+        ):
+            SweepCell(graph=graph, protocol=ProtocolSpec("decay", {}))
+
+    @pytest.mark.parametrize(
         "environment",
         [
             "loss=0.1",

@@ -289,6 +289,36 @@ class TestGridSpans:
             assert info["name"] == "gnp" and info["seconds"] > 0
             assert summary["spans"][info["parent"]]["layer"] == "shard"
 
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_topology_span_counts_reused_graphs(self, batch_mode):
+        # Two cells on one G(n, p) spec and seed run on common random
+        # graphs: the second samples only the trials the first did not.
+        shared = _decay_cell(n=24, repetitions=3)
+        wider = SweepCell(
+            coords={"n": 24, "protocol": "algorithm1"},
+            graph=shared.graph,
+            protocol=ProtocolSpec("algorithm1", {"p": 0.2}),
+            repetitions=5,
+            metrics=("success",),
+        )
+        sink = _memory_pipeline()
+        run_grid(
+            SweepGrid(cells=(shared, wider)),
+            seed=3,
+            store=False,
+            batch_mode=batch_mode,
+        )
+        summary = self._fold(sink)
+        topology = [
+            info["attrs"] for info in summary["spans"].values()
+            if info["layer"] == "topology"
+        ]
+        assert [(a["graphs"], a["reused"]) for a in topology] == [(3, 0), (2, 3)]
+        layer = summary["layers"]["topology"]
+        assert layer["graphs"] + layer["reused"] == 8
+        assert (layer["graphs"], layer["reused"]) == (5, 3)
+        assert "graphs=5  reused=3" in render_summary(summary)
+
     def test_cell_span_annotated_with_counts(self):
         sink = _memory_pipeline()
         run_grid(SweepGrid(cells=(_decay_cell(),)), seed=1, store=False)
