@@ -40,6 +40,13 @@ Quickstart
 True
 """
 
-from repro._version import __version__
+import time as _time
+
+#: ``time.perf_counter()`` when this package was imported; the telemetry
+#: ``config`` record reports the seconds from here to pipeline creation
+#: as ``startup_s``.
+_IMPORTED_AT = _time.perf_counter()
+
+from repro._version import __version__  # noqa: E402
 
 __all__ = ["__version__"]

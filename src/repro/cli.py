@@ -76,13 +76,13 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiments.figures import ascii_chart
-from repro.experiments.registry import all_experiments, run_experiment
-from repro.experiments.runner import configure_execution
-from repro.radio.environment import parse_environment_option
-from repro.store import ResultStore
+# Everything below the standard library is imported by the command that
+# needs it, so ``repro cache`` or ``repro telemetry`` never load the
+# simulator and ``repro run`` loads only what a run uses.
+if TYPE_CHECKING:
+    from repro.store import ResultStore
 
 __all__ = ["main", "build_parser"]
 
@@ -195,6 +195,8 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
     )
     if not wants_cache:
         return None
+    from repro.store import ResultStore
+
     return ResultStore(cache_dir if cache_dir is not None else _default_cache_dir())
 
 
@@ -336,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list() -> int:
+    from repro.experiments.registry import all_experiments
+
     for module in all_experiments():
         print(f"{module.EXPERIMENT_ID:>4}  {module.TITLE}")
         print(f"      {module.CLAIM}")
@@ -343,6 +347,8 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import all_experiments, run_experiment
+
     targets = (
         [m.EXPERIMENT_ID for m in all_experiments()]
         if args.experiment.lower() == "all"
@@ -372,6 +378,9 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_chart(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import ascii_chart
+    from repro.experiments.registry import run_experiment
+
     result = run_experiment(
         args.experiment,
         scale=args.scale,
@@ -392,6 +401,7 @@ def _command_sweep_grid(args: argparse.Namespace, store: Optional[ResultStore]) 
     import json
 
     from repro.analysis.tables import format_table
+    from repro.experiments.registry import all_experiments
     from repro.scenarios import ScenarioSpec, SweepGrid, run_grid, run_scenario
     from repro.scenarios.runtime import results_table
 
@@ -454,6 +464,8 @@ def _command_sweep(args: argparse.Namespace, store: Optional[ResultStore]) -> in
         return code
     if args.experiment is None:
         raise SystemExit("repro sweep needs an experiment id or --grid FILE")
+    from repro.experiments.registry import all_experiments, run_experiment
+
     targets = (
         [m.EXPERIMENT_ID for m in all_experiments()]
         if args.experiment.lower() == "all"
@@ -479,6 +491,8 @@ def _command_sweep(args: argparse.Namespace, store: Optional[ResultStore]) -> in
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    from repro.store import ResultStore
+
     cache_dir = args.cache_dir if args.cache_dir is not None else _default_cache_dir()
     store = ResultStore(cache_dir)
     if args.action == "stats":
@@ -554,6 +568,7 @@ def _telemetry_from_args(args: argparse.Namespace) -> bool:
 
 def _command_report(args: argparse.Namespace, store: Optional[ResultStore]) -> int:
     from repro.experiments.report import accumulators_report, generate_report
+    from repro.store import ResultStore
 
     if args.accumulators:
         if store is None:
@@ -585,6 +600,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "--kernel edge_sampled is a collision approximation and "
                 "cannot honour --batch-mode exact; use --batch-mode fast"
             )
+        from repro.experiments.runner import configure_execution
+
         store = _store_from_args(args)
         execution_kwargs = dict(
             batch_mode=args.batch_mode,
@@ -592,6 +609,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             store=store,
         )
         if getattr(args, "env", None) is not None:
+            from repro.radio.environment import parse_environment_option
+
             execution_kwargs["environment"] = parse_environment_option(args.env)
         configure_execution(**execution_kwargs)
     telemetry_active = _telemetry_from_args(args)

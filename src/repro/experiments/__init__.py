@@ -16,20 +16,29 @@ modules; the CLI (``python -m repro``) and the benchmark suite both go
 through it.
 """
 
-from repro.experiments.protocols import ProtocolSpec, build_protocol
-from repro.experiments.registry import all_experiments, get_experiment, run_experiment
-from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import Job, aggregate_runs, execute_job, run_jobs
+import importlib
 
-__all__ = [
-    "ExperimentResult",
-    "ProtocolSpec",
-    "build_protocol",
-    "Job",
-    "execute_job",
-    "run_jobs",
-    "aggregate_runs",
-    "all_experiments",
-    "get_experiment",
-    "run_experiment",
-]
+#: Public name -> defining submodule.  Resolved on first access (PEP 562), so
+#: importing one submodule (``repro.experiments.common``, the runner) does
+#: not import the registry, the result containers or the rest.
+_EXPORTS = {
+    "ExperimentResult": "results",
+    "ProtocolSpec": "protocols",
+    "build_protocol": "protocols",
+    "Job": "runner",
+    "execute_job": "runner",
+    "run_jobs": "runner",
+    "aggregate_runs": "runner",
+    "all_experiments": "registry",
+    "get_experiment": "registry",
+    "run_experiment": "registry",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

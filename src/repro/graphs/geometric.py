@@ -15,15 +15,20 @@ implements that extension:
 * :func:`geometric_digraph_from_positions` — build from given positions
   (used by the mobility model in :mod:`repro.radio.dynamics`).
 
-Distance computations use a cKDTree so construction is ``O(n log n + m)``.
+Neighbours are found with a cell list: points are bucketed into square
+cells of side at least the largest radius, so every pair within reach lies in
+the same or an adjacent cell, and only the 3 × 3 block around each point is
+scanned.  An edge is kept when its squared distance is at most the listener's
+squared radius.  With at most about ``n`` cells, construction is
+``O(n + m + c)`` in numpy, where ``c`` counts candidate pairs in adjacent cells.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro._util.rng import SeedLike, as_generator
 from repro._util.validation import check_positive, check_positive_int
@@ -89,16 +94,11 @@ def geometric_digraph_from_positions(
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     radius = check_positive(radius, "radius")
-    n = positions.shape[0]
-    if n == 1:
-        return RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    if pairs.size == 0:
-        edges = np.empty((0, 2), dtype=np.int64)
-    else:
-        edges = np.vstack([pairs, pairs[:, ::-1]]).astype(np.int64)
+    n = check_positive_int(positions.shape[0], "number of positions")
+    edges = _edges_within_reach(positions, np.full(n, radius))
     return RadioNetwork(n, edges, name=name)
 
 
@@ -132,27 +132,57 @@ def heterogeneous_geometric_digraph(
     if name is None:
         name = f"rgg-hetero(n={n}, r=[{radius_low:.3g},{radius_high:.3g}])"
 
-    if n == 1:
-        network = RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
-        return (network, positions) if return_positions else network
-
-    tree = cKDTree(positions)
-    sources_list = []
-    targets_list = []
-    # For each listener v, every u within radii[v] can be heard by v: edge (u, v).
-    neighbor_lists = tree.query_ball_point(positions, r=radii)
-    for v, neighbours in enumerate(neighbor_lists):
-        for u in neighbours:
-            if u != v:
-                sources_list.append(u)
-                targets_list.append(v)
-    if sources_list:
-        edges = np.column_stack(
-            [np.asarray(sources_list, dtype=np.int64), np.asarray(targets_list, dtype=np.int64)]
-        )
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    network = RadioNetwork(n, edges, name=name)
+    # Listener v hears every u within radii[v]: edge (u, v).
+    network = RadioNetwork(n, _edges_within_reach(positions, radii), name=name)
     if return_positions:
         return network, positions
     return network
+
+
+def _edges_within_reach(
+    positions: np.ndarray, radii: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sources, targets)`` of every pair ``u != v`` with
+    ``|p_u - p_v|^2 <= radii[v]^2``, found with a cell list.
+
+    Cells are square with side a hair above ``radii.max()`` (so rounding in
+    the bucketing never pushes a pair within reach two cells apart) and at
+    least ``extent / isqrt(n)``, which caps the grid at about ``n`` cells.
+    Every point ``v`` is scanned against the points of the 3 × 3 cells
+    around its own, one cell offset at a time.  The pairs come out
+    unsorted; :class:`RadioNetwork` sorts them.
+    """
+    n = positions.shape[0]
+    xs = np.ascontiguousarray(positions[:, 0])
+    ys = np.ascontiguousarray(positions[:, 1])
+    reach_sq = radii * radii
+    low = positions.min(axis=0)
+    extent = float((positions.max(axis=0) - low).max())
+    side = max(float(radii.max()) * (1.0 + 1e-9), extent / max(1, math.isqrt(n)))
+    cell_xy = ((positions - low) / side).astype(np.int64)
+    width, height = (int(k) + 1 for k in cell_xy.max(axis=0))
+    cell = cell_xy[:, 0] * height + cell_xy[:, 1]
+    by_cell = np.argsort(cell)
+    counts = np.bincount(cell, minlength=width * height)
+    starts = np.cumsum(counts) - counts
+
+    sources, targets = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            nx = cell_xy[:, 0] + dx
+            ny = cell_xy[:, 1] + dy
+            listeners = np.flatnonzero((nx >= 0) & (nx < width) & (ny >= 0) & (ny < height))
+            neighbour_cell = nx[listeners] * height + ny[listeners]
+            sizes = counts[neighbour_cell]
+            # Candidate k of listener j is point by_cell[starts[cell_j] + k].
+            v = np.repeat(listeners, sizes)
+            first = np.repeat(starts[neighbour_cell] - (np.cumsum(sizes) - sizes), sizes)
+            u = by_cell[first + np.arange(v.size)]
+            ddx = xs[u] - xs[v]
+            ddy = ys[u] - ys[v]
+            dist_sq = ddx * ddx
+            dist_sq += ddy * ddy
+            keep = (dist_sq <= reach_sq[v]) & (u != v)
+            sources.append(u[keep])
+            targets.append(v[keep])
+    return np.concatenate(sources), np.concatenate(targets)

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -185,6 +183,12 @@ class ProcessPoolBackend(WorkerBackend):
         collect: bool = True,
         task_labels: Optional[Sequence[str]] = None,
     ) -> List[object]:
+        # Imported here, not at module top: the process machinery
+        # (multiprocessing and friends) is only paid for by a run that
+        # fans out.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         tasks = list(tasks)
         self.stats.submitted += len(tasks)
         results: List[object] = [None] * len(tasks) if collect else []

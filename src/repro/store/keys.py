@@ -39,8 +39,23 @@ __all__ = ["ENGINE_VERSION", "canonicalize", "canonical_dumps", "trial_digest"]
 ENGINE_VERSION = "4.0"
 
 
+#: Types returned as they are.  Matched by exact type, so subclasses still
+#: take the general path below: ``np.float64`` subclasses ``float`` and
+#: is converted there.
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def canonicalize(value: Any) -> Any:
     """Reduce ``value`` to canonical JSON-ready form (see module docstring)."""
+    # Fast path for the plain Python types a job payload is made of; it
+    # skips the ABC ``isinstance`` checks and returns what they would.
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is dict:
+        return {str(k): canonicalize(value[k]) for k in sorted(value, key=str)}
+    if kind is list or kind is tuple:
+        return [canonicalize(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): canonicalize(value[k]) for k in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):

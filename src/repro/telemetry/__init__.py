@@ -42,12 +42,10 @@ from repro.telemetry.spans import (
     telemetry_provenance,
     telemetry_shutdown,
 )
-from repro.telemetry.summarize import (
-    fold_trace,
-    load_trace,
-    render_summary,
-    summarize_trace,
-)
+
+#: The offline summarizer's names, imported on first use (PEP 562): only
+#: ``repro telemetry summarize`` needs them, not a traced run.
+_SUMMARIZE_NAMES = ("fold_trace", "load_trace", "render_summary", "summarize_trace")
 
 __all__ = [
     "FileSink",
@@ -76,3 +74,11 @@ __all__ = [
     "telemetry_provenance",
     "telemetry_shutdown",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUMMARIZE_NAMES:
+        from repro.telemetry import summarize
+
+        return getattr(summarize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

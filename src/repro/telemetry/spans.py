@@ -1,8 +1,9 @@
 """Structured telemetry core: hierarchical spans, events, and sinks.
 
 This module is the zero-dependency spine of ``repro.telemetry``.  It
-deliberately imports nothing from the rest of ``repro`` (and nothing
-beyond the stdlib) so that even the dependency-free hot layers
+deliberately imports nothing from the rest of ``repro`` but the package's
+import timestamp (and nothing beyond the stdlib) so that even the
+dependency-free hot layers
 (``repro.radio.kernels``, ``repro.radio.nodesets``) can emit telemetry
 without creating an import cycle.
 
@@ -33,7 +34,9 @@ Design constraints, in order:
 Record schema (one JSON object per line):
 
 - ``{"type": "config", "t": 0.0, "seq": 0, "unix_time": ..., "pid": ...,
-  "sinks": [...]}`` — first record of a pipeline.
+  "startup_s": ..., "sinks": [...]}`` — first record of a pipeline;
+  ``startup_s`` is the seconds from ``import repro`` to the pipeline's
+  creation (the traced process's imports and set-up).
 - ``{"type": "span_begin", "span": id, "parent": id|null,
   "layer": ..., "name": ..., "t": ..., "seq": ..., "attrs": {...}}``
 - ``{"type": "span_end", "span": id, "layer": ..., "name": ...,
@@ -58,6 +61,8 @@ import json
 import os
 import time
 from typing import IO, Any, Dict, Iterable, List, Optional
+
+from repro import _IMPORTED_AT
 
 __all__ = [
     "FileSink",
@@ -177,6 +182,7 @@ class TelemetryPipeline:
                 "t": 0.0,
                 "unix_time": time.time(),
                 "pid": os.getpid(),
+                "startup_s": self._t0 - _IMPORTED_AT,
                 "sinks": [s.describe() for s in self.sinks],
             }
         )

@@ -8,6 +8,7 @@ Pure offline analysis: reads records written by
 - a per-layer table (span count, total seconds, trials, trials/s),
 - event counts by name,
 - the final metrics-registry snapshot,
+- the process's start-up seconds (``startup_s`` of the ``config`` record),
 - an indented span tree (parent links survive the cross-process
   relay, so worker shards hang under the cell that spawned them).
 
@@ -54,18 +55,20 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate raw records into the summary structure.
 
     Returns ``{"layers", "events", "spans", "roots", "metrics",
-    "record_count"}`` where ``layers`` maps layer name →
+    "startup_s", "record_count"}`` where ``layers`` maps layer name →
     ``{"spans", "seconds", "trials"}`` (in first-seen order, plus the
     summed ``graphs`` / ``reused`` counts of layers whose spans carry
     them),
     ``spans`` maps span id → merged span info, and ``roots`` lists
-    parentless span ids in trace order.
+    parentless span ids in trace order; ``startup_s`` is the first
+    ``config`` record's (None for a trace that lacks it).
     """
 
     spans: Dict[str, Dict[str, Any]] = {}
     roots: List[str] = []
     events: Dict[str, int] = {}
     metrics: Dict[str, Any] = {}
+    startup_s: Optional[float] = None
     count = 0
 
     for record in records:
@@ -113,6 +116,8 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             events[name] = events.get(name, 0) + 1
         elif kind == "metrics":
             metrics = record.get("metrics") or {}
+        elif kind == "config" and startup_s is None:
+            startup_s = record.get("startup_s")
 
     for info in spans.values():
         parent = spans.get(info["parent"]) if info["parent"] else None
@@ -141,6 +146,7 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "spans": spans,
         "roots": roots,
         "metrics": metrics,
+        "startup_s": startup_s,
         "record_count": count,
     }
 
@@ -182,6 +188,9 @@ def render_summary(summary: Dict[str, Any], *, tree: bool = True) -> str:
     """Render the folded summary as the ``telemetry summarize`` report."""
 
     lines: List[str] = []
+    startup_s = summary.get("startup_s")
+    if startup_s is not None:
+        lines.append(f"startup: {_format_seconds(startup_s)} (import repro -> trace start)")
     layers = summary["layers"]
     lines.append("per-layer totals:")
     if layers:

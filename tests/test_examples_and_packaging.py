@@ -5,6 +5,7 @@ arguments) in a subprocess guards against bit-rot in the public API they
 exercise.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = REPO_ROOT / "examples"
+
+#: Modules no command's import may pull in: scipy is not a dependency, and
+#: the process-pool machinery is loaded only by a run that fans out.
+_UNWANTED_MODULES = ("scipy", "concurrent.futures.process")
 
 
 def _run(script: str, *args: str, timeout: int = 240) -> subprocess.CompletedProcess:
@@ -94,3 +99,33 @@ class TestPackaging:
         net = random_digraph(512, 0.05, rng=1)
         result = run_protocol(net, EnergyEfficientBroadcast(p=0.05), rng=2)
         assert result.completed and result.energy.max_per_node <= 1
+
+
+def _unwanted_after(*imports: str) -> str:
+    """The :data:`_UNWANTED_MODULES` a fresh interpreter holds after
+    ``imports``, as the printed list."""
+    code = (
+        "import sys\n"
+        + "".join(f"import {name}\n" for name in imports)
+        + f"print([m for m in {_UNWANTED_MODULES!r} if m in sys.modules])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestImportHygiene:
+    def test_cli_import_stays_light(self):
+        assert _unwanted_after("repro.cli") == "[]"
+
+    def test_sweep_path_imports_stay_light(self):
+        assert _unwanted_after(
+            "repro.scenarios", "repro.experiments.common", "repro.graphs.builders"
+        ) == "[]"

@@ -1,8 +1,13 @@
 """Tests for random geometric radio networks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.graphs import geometric
 from repro.graphs.geometric import (
     connectivity_radius,
     geometric_digraph,
@@ -10,6 +15,114 @@ from repro.graphs.geometric import (
     heterogeneous_geometric_digraph,
 )
 from repro.graphs.properties import is_strongly_connected
+
+
+def _pin_radii(n):
+    """Shared radii pinned for ``n``: sparse, dense, E13's 1.5x connectivity
+    radius, and (small n only) one that covers the whole square."""
+    radii = [0.05, 0.2, 1.5 * connectivity_radius(max(n, 2))]
+    if n <= 256:
+        radii.append(1.5)
+    return radii
+
+
+def _pin_radius_ranges(n):
+    """``(radius_low, radius_high)`` pairs pinned for ``n``, E13's among them."""
+    c = connectivity_radius(max(n, 2))
+    ranges = [(0.05, 0.3), (0.7 * 1.5 * c, 1.3 * 1.5 * c)]
+    if n <= 256:
+        ranges.append((0.5, 1.5))
+    return ranges
+
+
+def _update(digest, net):
+    for arr in (net.out_indptr, net.out_indices, net.in_indptr, net.in_indices):
+        digest.update(str(arr.dtype).encode())
+        digest.update(arr.tobytes())
+
+
+def _geometric_digests(n):
+    """sha256 over both CSRs of every pinned symmetric case (unit square and
+    positions spread over ``[-1, 2)^2`` with the radius scaled to match) and
+    of every pinned heterogeneous case, for seeds 0-2."""
+    symmetric = hashlib.sha256()
+    heterogeneous = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for radius in _pin_radii(n):
+            _update(symmetric, geometric_digraph(n, radius, rng=seed))
+            spread = np.random.default_rng(seed + 100).random((n, 2)) * 3.0 - 1.0
+            _update(symmetric, geometric_digraph_from_positions(spread, 3.0 * radius))
+        for low, high in _pin_radius_ranges(n):
+            _update(heterogeneous, heterogeneous_geometric_digraph(n, low, high, rng=seed))
+    return symmetric.hexdigest(), heterogeneous.hexdigest()
+
+
+#: ``_geometric_digests(n)`` as produced by the k-d-tree construction the
+#: cell list replaced; any change to the built graphs shows here.
+_GEOMETRIC_PINS = {
+    1: ("c25c6168072bb764ef94c830641b188afbad1ad225b70478a997367a5bcbcadb",
+        "7e0985850cc67102e208f63bfd208c00cd006e9711f148b491efd6296a23fe1c"),
+    2: ("cca3f2d731739fedcb04291cf09d4f2c8f4f287a387a70ed8ebc1e634be03ae1",
+        "89dd4ed3b96daffb15408a75e8964edab92d339f3aca1ba66f70b1a1706ae1c8"),
+    5: ("e4b092d3e6167ee8e342a2c04fce2660c489e5e34da9c2e255a48fc7d9c87158",
+        "52291d3d641ba8a64fae469a7bd653e540ceaa3c12f87d4f11ed9db7cfb1dc15"),
+    64: ("c7e0ca381cb3dfb68636db0466bc42824819147e986579ec93677493c87489b3",
+         "31b52e294bb96c7e69e4141a75b27b553df25fb483f678816e2ab8160a1d32a9"),
+    256: ("3158879c8c8dcd7a2aef945fc2bb72cd8d0a2301037641452e71cdfcf982c515",
+          "fe5e566c71beef5c5cd95c28097180920186a710070da71378491592922bfbc1"),
+    1024: ("0b87f81b0b240c2b534e2b93e876d82943da35c9ce293172e573eb57014d23ce",
+           "d52f7ebf17d56baaefa0937fca4d8f798a087805e735ae3667d2302a30c0ce4f"),
+}
+
+
+def _brute_force_edges(positions, radii):
+    """Every ``(u, v)``, ``u != v``, with ``|p_u - p_v|^2 <= radii[v]^2``,
+    from the full ``n x n`` distance table."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist_sq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    within = dist_sq <= (radii * radii)[None, :]
+    np.fill_diagonal(within, False)
+    return set(zip(*map(np.ndarray.tolist, np.nonzero(within))))
+
+
+@st.composite
+def _point_sets(draw):
+    """Up to 60 points, spread over a random box, with a shared radius or
+    per-listener radii; coordinates may repeat (coincident points)."""
+    n = draw(st.integers(1, 60))
+    scale = draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    positions = np.array(
+        draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    ) * scale - scale / 3
+    if draw(st.booleans()):
+        positions[: n // 2] = positions[n // 2 : 2 * (n // 2)]
+    radius = st.floats(1e-4, 1.6, allow_nan=False).map(lambda r: r * scale)
+    if draw(st.booleans()):
+        radii = np.full(n, draw(radius))
+    else:
+        radii = np.array(draw(st.lists(radius, min_size=n, max_size=n)))
+    return positions, radii
+
+
+class TestCellList:
+    @pytest.mark.parametrize("n", sorted(_GEOMETRIC_PINS))
+    def test_geometric_graphs_pinned(self, n):
+        assert _geometric_digests(n) == _GEOMETRIC_PINS[n]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_point_sets())
+    def test_matches_brute_force(self, case):
+        positions, radii = case
+        sources, targets = geometric._edges_within_reach(positions, radii)
+        edges = list(zip(sources.tolist(), targets.tolist()))
+        assert len(edges) == len(set(edges))
+        assert set(edges) == _brute_force_edges(positions, radii)
+
+    def test_non_finite_positions_rejected(self):
+        positions = np.array([[0.0, 0.0], [np.nan, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            geometric_digraph_from_positions(positions, 0.1)
 
 
 class TestGeometricDigraph:

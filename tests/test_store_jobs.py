@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_module
 from repro.experiments.protocols import ProtocolSpec
@@ -43,7 +47,7 @@ from repro.jobs import (
 )
 from repro.radio.energy import EnergyReport
 from repro.radio.trace import RoundRecord, RunResultTrace
-from repro.store import ResultStore, canonical_dumps, trial_digest
+from repro.store import ResultStore, canonical_dumps, canonicalize, trial_digest
 from repro.store import keys as keys_module
 
 GRAPH = GraphSpec("gnp", {"n": 64, "p": 0.15})
@@ -91,7 +95,72 @@ def _aggregate_result(runs) -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Canonical keys
 # --------------------------------------------------------------------------- #
+def _canonicalize_by_isinstance(value):
+    """``canonicalize`` as it was before its exact-type fast path: the
+    ``isinstance`` chain alone."""
+    if isinstance(value, Mapping):
+        return {
+            str(k): _canonicalize_by_isinstance(value[k])
+            for k in sorted(value, key=str)
+        }
+    if isinstance(value, (list, tuple)):
+        return [_canonicalize_by_isinstance(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_canonicalize_by_isinstance(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(type(value).__name__)
+
+
+_KEY_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(),
+    st.text(max_size=6),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(st.integers(-1000, 1000), max_size=4).map(np.array),
+    st.lists(st.floats(allow_nan=False), max_size=4).map(
+        lambda xs: np.array(xs, dtype=float)
+    ),
+)
+_DICT_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3))
+_KEY_PAYLOADS = st.recursive(
+    _KEY_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_DICT_KEYS, children, max_size=4),
+        st.dictionaries(_DICT_KEYS, children, max_size=4).map(
+            lambda d: OrderedDict(reversed(list(d.items())))
+        ),
+    ),
+    max_leaves=16,
+)
+
+
 class TestKeys:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_KEY_PAYLOADS)
+    def test_fast_path_matches_isinstance_chain(self, payload):
+        # repr tells True from 1 and 1.0, and np.float64 from float.
+        assert repr(canonicalize(payload)) == repr(_canonicalize_by_isinstance(payload))
+
+    def test_numpy_float_subclass_still_converted(self):
+        value = canonicalize({"p": np.float64(0.25), "xs": (np.int64(2),)})
+        assert type(value["p"]) is float
+        assert type(value["xs"][0]) is int
+
     def test_dict_order_is_canonicalised(self):
         a = {"graph": {"n": 64, "p": 0.5}, "seed": 3}
         b = {"seed": 3, "graph": {"p": 0.5, "n": 64}}

@@ -160,6 +160,18 @@ class TestPipeline:
         assert not any(r["type"] == "event" for r in first.records)
         assert any(r["type"] == "event" for r in second.records)
 
+    def test_config_carries_startup_seconds(self):
+        sink = _memory_pipeline()
+        config = sink.records[0]
+        assert config["type"] == "config"
+        assert isinstance(config["startup_s"], float)
+        assert config["startup_s"] >= 0
+
+    def test_relayed_worker_config_is_dropped(self):
+        with telemetry.capture("w") as cap:
+            telemetry.event("inside")
+        assert all(r["type"] != "config" for r in cap.payload()["records"])
+
     def test_provenance_reports_sinks(self):
         _memory_pipeline()
         stamp = execution_provenance()["telemetry"]
@@ -464,6 +476,19 @@ class TestSummarize:
         assert summary["events"] == {"progress": 1}
         rendered = render_summary(summary)
         assert "sweep" in rendered and "span tree:" in rendered
+
+    def test_startup_seconds_folded_and_rendered(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        configure_telemetry(sink=FileSink(trace))
+        telemetry_shutdown()
+        summary = summarize_trace(trace)
+        assert summary["startup_s"] >= 0
+        assert render_summary(summary).startswith("startup: ")
+        # A trace without the field (an older writer) folds to None and
+        # renders without the line.
+        bare = fold_trace([{"type": "config", "t": 0.0}])
+        assert bare["startup_s"] is None
+        assert "startup" not in render_summary(bare)
 
     def test_end_without_begin_counts_as_root(self):
         summary = fold_trace([
